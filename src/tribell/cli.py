@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -94,7 +95,29 @@ def _require(cond: bool, message: str) -> None:
         raise SettingsFileError(message)
 
 
+@contextmanager
+def _usage_errors(context: str):
+    """Report a malformed value met while building inputs as a usage error.
+
+    The domain checks of the library raise bare ``ValueError`` (a number
+    out of range, a string that is not a number) or ``TypeError`` (a value
+    of the wrong JSON type); inside this block they become
+    `SettingsFileError`, which exits 2.  Package errors pass unchanged.
+    """
+    try:
+        yield
+    except TribellError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise SettingsFileError(f"{context}: {exc}") from exc
+
+
 def parse_settings_payload(payload: dict) -> SettingsSpec:
+    with _usage_errors("invalid settings"):
+        return _parse_settings_payload(payload)
+
+
+def _parse_settings_payload(payload: dict) -> SettingsSpec:
     _require(isinstance(payload, dict), "settings must be a JSON object")
     has_family = "family" in payload
     has_explicit = "explicit" in payload
@@ -184,13 +207,15 @@ def spec_from_flags(args) -> SettingsSpec:
     payload = dict(spec.payload)
     noise, etas = spec.noise, spec.etas
     if args.p is not None:
-        noise = NoiseLevel(args.p)
+        with _usage_errors("invalid --p"):
+            noise = NoiseLevel(args.p)
         payload["noise_p"] = args.p
     if args.eta is not None:
-        parts = [float(v) for v in args.eta.split(",")]
-        if len(parts) != 3:
-            raise SettingsFileError("--eta needs three comma-separated values")
-        etas = EfficiencyTriple(*parts)
+        with _usage_errors("invalid --eta"):
+            parts = [float(v) for v in args.eta.split(",")]
+            if len(parts) != 3:
+                raise SettingsFileError("--eta needs three comma-separated values")
+            etas = EfficiencyTriple(*parts)
         payload["efficiencies"] = parts
     return SettingsSpec(spec.state, spec.settings, noise, etas, payload)
 
@@ -241,7 +266,8 @@ def parse_grid(text: str, name: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise SettingsFileError(f"--{name} must be lo:hi:n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    with _usage_errors(f"invalid --{name}"):
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1 or hi < lo:
         raise SettingsFileError(f"--{name} has an empty or inverted range")
     return np.linspace(lo, hi, n)
@@ -333,12 +359,13 @@ def cmd_cde(args) -> int:
 
 
 def cmd_mde(args) -> int:
-    cfg = SearchConfig(
-        restarts=args.restarts,
-        seed=args.seed,
-        max_iterations=args.max_iterations,
-        penalty_weight=args.penalty_weight,
-    )
+    with _usage_errors("invalid search settings"):
+        cfg = SearchConfig(
+            restarts=args.restarts,
+            seed=args.seed,
+            max_iterations=args.max_iterations,
+            penalty_weight=args.penalty_weight,
+        )
     runner = minimize_svetlichny_cutoff if args.inequality == "svetlichny" else minimize_t2_cutoff
     result = runner(cfg)
     out_path = args.out or f"mde-{args.inequality}-settings.json"
@@ -366,6 +393,12 @@ def format_eta(value: float | None) -> str:
 def cmd_sweep(args) -> int:
     theta_grid = parse_grid(args.theta_grid, "theta-grid")
     p_grid = parse_grid(args.p_grid, "p-grid")
+    with _usage_errors("invalid --theta-grid"):
+        for theta in theta_grid:
+            ThetaSetting(float(theta))
+    with _usage_errors("invalid --p-grid"):
+        for p in p_grid:
+            NoiseLevel(float(p))
     rows = sweep_t2_noise(theta_grid, p_grid)
     lines = ["theta,p,eta_min"]
     lines += [f"{row.theta!r},{row.p!r},{format_eta(row.eta_min)}" for row in rows]

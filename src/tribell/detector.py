@@ -38,11 +38,6 @@ class EfficiencyTriple:
         return (self.eta_a, self.eta_b, self.eta_c)
 
 
-def _loss_kernel(eta: float) -> np.ndarray:
-    # columns: ideal outcome, rows: observed outcome
-    return np.array([[eta, 0.0], [1.0 - eta, 1.0]])
-
-
 def observe(ideal: BehaviorTensor, etas: EfficiencyTriple) -> BehaviorTensor:
     """Apply the inefficiency channel independently per party."""
     probs = observed_probabilities(ideal.probs, etas.as_tuple())
@@ -50,6 +45,22 @@ def observe(ideal: BehaviorTensor, etas: EfficiencyTriple) -> BehaviorTensor:
 
 
 def observed_probabilities(probs: np.ndarray, etas) -> np.ndarray:
-    """Channel on a raw probability array; hot path for root finding."""
-    ka, kb, kc = (_loss_kernel(e) for e in etas)
-    return np.einsum("aA,bB,cC,ABCxyz->abcxyz", ka, kb, kc, probs)
+    """Channel on a raw probability array; hot path for root finding.
+
+    ``probs`` has shape ``(..., 2, 2, 2, 2, 2, 2)``: one behavior array or a
+    stack of them along leading axes.  ``etas`` has shape ``(..., 3)`` and
+    broadcasts against the stack, so each tensor may have its own
+    efficiencies.  Party by party, outcome 0 keeps the fraction eta and
+    hands 1 - eta of its mass to outcome 1.
+    """
+    out = np.array(probs, dtype=float)
+    etas = np.asarray(etas, dtype=float)
+    for party in range(3):
+        # the party's outcome axis sits 6 - party axes from the end
+        zero = (Ellipsis, 0) + (slice(None),) * (5 - party)
+        one = (Ellipsis, 1) + (slice(None),) * (5 - party)
+        eta = etas[..., party].reshape(etas.shape[:-1] + (1,) * 5)
+        lost = (1.0 - eta) * out[zero]
+        out[zero] *= eta
+        out[one] += lost
+    return out

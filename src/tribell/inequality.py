@@ -76,18 +76,17 @@ class SvetlichnyCoefficients:
 # ---------------------------------------------------------------------------
 # marginals
 
-def _pair_zero_values(probs: np.ndarray, pair: str, s1: int, s2: int) -> tuple[float, float]:
+def _pair_zero_values(probs: np.ndarray, pair: str, s1: int, s2: int) -> np.ndarray:
     """P(00|pair at settings s1,s2), summed over the third party's outcome,
-    evaluated at each of the third party's two settings."""
+    evaluated at each of the third party's two settings: shape (..., 2)
+    for a behavior array or a stack of them along leading axes."""
     if pair == "ab":
-        vals = probs[0, 0, :, s1, s2, :].sum(axis=0)
-    elif pair == "bc":
-        vals = probs[:, 0, 0, :, s1, s2].sum(axis=0)
-    elif pair == "ac":
-        vals = probs[0, :, 0, s1, :, s2].sum(axis=0)
-    else:
-        raise ValueError(f"unknown pair {pair!r}")
-    return float(vals[0]), float(vals[1])
+        return probs[..., 0, 0, :, s1, s2, :].sum(axis=-2)
+    if pair == "bc":
+        return probs[..., :, 0, 0, :, s1, s2].sum(axis=-2)
+    if pair == "ac":
+        return probs[..., 0, :, 0, s1, :, s2].sum(axis=-2)
+    raise ValueError(f"unknown pair {pair!r}")
 
 
 def _single_zero_values(probs: np.ndarray, party: str, s: int) -> np.ndarray:
@@ -104,7 +103,7 @@ def _single_zero_values(probs: np.ndarray, party: str, s: int) -> np.ndarray:
 def _checked_pair(probs, pair, s1, s2, tol):
     # setting-free marginals only exist under no-signaling: take the value at
     # the third party's setting 0 and cross-check against setting 1
-    v0, v1 = _pair_zero_values(probs, pair, s1, s2)
+    v0, v1 = (float(v) for v in _pair_zero_values(probs, pair, s1, s2))
     if abs(v0 - v1) > tol:
         raise MarginalInconsistencyError(
             f"P(00|{pair} at {s1}{s2}) differs across the third setting by {abs(v0 - v1):.3e}"
@@ -124,31 +123,22 @@ def _checked_single(probs, party, s, tol):
 # ---------------------------------------------------------------------------
 # the two inequality statistics
 
-def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked",
-                 tol: float = MARGINAL_TOL) -> float:
-    """Probability-form statistic with classical bound 0.
-
-    ``pair_reading`` selects how the three pair marginals are extracted:
-
-    * ``"checked"``   - require both dummy-setting values to agree (tensors
-      that satisfy no-signaling); raise otherwise.
-    * ``"pessimistic"`` - take the larger dummy-setting value per pair, which
-      can only lower the statistic.  This is the reading under which the
-      deterministic-strategy bound of 0 is exact; see `polytope`.
-    * ``"mean"``, ``"setting0"``, ``"setting1"`` - linear readings used for
-      convexity checks on vertex mixtures.
-    """
+def _t2_pair_sum(probs: np.ndarray, pair_reading: str, tol: float):
+    """Sum of the three pair marginals of zeros at settings 11 under one
+    reading of the dummy setting (see `t2_statistic`)."""
     pairs = []
     for pair in ("ab", "bc", "ac"):
-        v0, v1 = _pair_zero_values(probs, pair, 1, 1)
+        vals = _pair_zero_values(probs, pair, 1, 1)
+        v0, v1 = vals[..., 0], vals[..., 1]
         if pair_reading == "checked":
-            if abs(v0 - v1) > tol:
+            dev = np.max(np.abs(v0 - v1))
+            if dev > tol:
                 raise MarginalInconsistencyError(
-                    f"P(00|{pair} at 11) differs across the third setting by {abs(v0 - v1):.3e}"
+                    f"P(00|{pair} at 11) differs across the third setting by {dev:.3e}"
                 )
             pairs.append(v0)
         elif pair_reading == "pessimistic":
-            pairs.append(max(v0, v1))
+            pairs.append(np.maximum(v0, v1))
         elif pair_reading == "mean":
             pairs.append(0.5 * (v0 + v1))
         elif pair_reading == "setting0":
@@ -157,12 +147,41 @@ def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked",
             pairs.append(v1)
         else:
             raise ValueError(f"unknown pair_reading {pair_reading!r}")
-    m = probs[0, 0, 0]
-    return float(
-        -2.0 * sum(pairs)
-        - m[0, 0, 1] - m[0, 1, 0] - m[1, 0, 0]
-        + 2.0 * (m[1, 1, 0] + m[1, 0, 1] + m[0, 1, 1] + m[1, 1, 1])
+    return pairs[0] + pairs[1] + pairs[2]
+
+
+def _t2_triple(probs: np.ndarray):
+    """Signed combination of the all-zero triple probabilities."""
+    m = probs[..., 0, 0, 0, :, :, :]
+    return (
+        -m[..., 0, 0, 1] - m[..., 0, 1, 0] - m[..., 1, 0, 0]
+        + 2.0 * (m[..., 1, 1, 0] + m[..., 1, 0, 1] + m[..., 0, 1, 1] + m[..., 1, 1, 1])
     )
+
+
+def _scalar_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked",
+                 tol: float = MARGINAL_TOL) -> float | np.ndarray:
+    """Probability-form statistic with classical bound 0.
+
+    ``probs`` is one behavior array, giving a float, or a stack of them
+    along leading axes, giving an array of values.
+
+    ``pair_reading`` selects how the three pair marginals are extracted:
+
+    * ``"checked"``   - require both dummy-setting values to agree (tensors
+      that satisfy no-signaling); raise if any tensor of a stack does not.
+    * ``"pessimistic"`` - take the larger dummy-setting value per pair, which
+      can only lower the statistic.  This is the reading under which the
+      deterministic-strategy bound of 0 is exact; see `polytope`.
+    * ``"mean"``, ``"setting0"``, ``"setting1"`` - linear readings used for
+      convexity checks on vertex mixtures.
+    """
+    pair = 2.0 * _t2_pair_sum(probs, pair_reading, tol)
+    return _scalar_or_array(_t2_triple(probs) - pair)
 
 
 def t2_value(t: BehaviorTensor) -> InequalityValue:
@@ -286,24 +305,21 @@ def theta_violation_threshold(etas: EfficiencyTriple) -> float:
     return excess / pair_sum
 
 
-def t2_triple_and_pair_sums(t: BehaviorTensor, *, tol: float = MARGINAL_TOL) -> tuple[float, float]:
+def t2_triple_and_pair_sums(t: BehaviorTensor | np.ndarray, *, tol: float = MARGINAL_TOL):
     """Signed triple-probability combination T and doubled pair sum Q.
+
+    ``t`` is a `BehaviorTensor`, giving two floats, or a validated stack of
+    behavior arrays (see `qcore.validated_probabilities`), giving two
+    arrays.  The pair marginals use the checked reading of `t2_statistic`.
 
     The observed probability-form statistic at symmetric efficiency eta is
     exactly eta^3 * T - eta^2 * Q, since every triple term scales with
     eta^3 and every pair marginal of zeros with eta^2.
     """
-    m = t.probs[0, 0, 0]
-    triple = float(
-        -m[0, 0, 1] - m[0, 1, 0] - m[1, 0, 0]
-        + 2.0 * (m[1, 1, 0] + m[1, 0, 1] + m[0, 1, 1] + m[1, 1, 1])
-    )
-    pair = 2.0 * (
-        _checked_pair(t.probs, "ab", 1, 1, tol)
-        + _checked_pair(t.probs, "bc", 1, 1, tol)
-        + _checked_pair(t.probs, "ac", 1, 1, tol)
-    )
-    return triple, pair
+    probs = t.probs if isinstance(t, BehaviorTensor) else t
+    triple = _t2_triple(probs)
+    pair = 2.0 * _t2_pair_sum(probs, "checked", tol)
+    return _scalar_or_array(triple), _scalar_or_array(pair)
 
 
 def t2_cutoff_symmetric(t_ideal: BehaviorTensor) -> float | None:

@@ -143,13 +143,7 @@ class BehaviorTensor:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (2,) * 6:
             raise NormalizationError(f"expected shape {(2,)*6}, got {p.shape}")
-        if p.min() < PROB_FLOOR:
-            raise NormalizationError(f"negative probability {p.min()} below floor {PROB_FLOOR}")
-        p = np.clip(p, 0.0, None)
-        sums = p.sum(axis=(0, 1, 2))
-        if np.max(np.abs(sums - 1.0)) > SLICE_SUM_TOL:
-            raise NormalizationError(f"setting slices must sum to 1, max deviation {np.max(np.abs(sums - 1.0))}")
-        object.__setattr__(self, "probs", _frozen(p))
+        object.__setattr__(self, "probs", _frozen(validated_probabilities(p)))
 
     def no_signaling_deviation(self) -> float:
         return no_signaling_deviation(self.probs)
@@ -162,6 +156,25 @@ class BehaviorTensor:
             raise MarginalInconsistencyError(
                 f"no-signaling deviation {dev:.3e} exceeds tolerance {tol:.0e}"
             )
+
+
+def validated_probabilities(probs) -> np.ndarray:
+    """Check and clip a behavior array, or a stack of them along leading axes.
+
+    Every entry must be at least ``PROB_FLOOR``; entries in between are
+    clipped to 0.  Each setting slice of each tensor must then sum to 1
+    within ``SLICE_SUM_TOL``.  Returns the clipped array.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.shape[-6:] != (2,) * 6:
+        raise NormalizationError(f"expected trailing shape {(2,)*6}, got {p.shape}")
+    if p.min() < PROB_FLOOR:
+        raise NormalizationError(f"negative probability {p.min()} below floor {PROB_FLOOR}")
+    p = np.clip(p, 0.0, None)
+    deviation = np.max(np.abs(p.sum(axis=(-6, -5, -4)) - 1.0))
+    if deviation > SLICE_SUM_TOL:
+        raise NormalizationError(f"setting slices must sum to 1, max deviation {deviation}")
+    return p
 
 
 def no_signaling_deviation(probs: np.ndarray) -> float:

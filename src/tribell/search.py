@@ -25,7 +25,6 @@ from .inequality import (
     t2_triple_and_pair_sums,
 )
 from .qcore import (
-    BehaviorTensor,
     PureState,
     QubitMeasurement,
     SettingsTriple,
@@ -33,6 +32,7 @@ from .qcore import (
     density_from_pure,
     measurement_basis,
     pure_behavior_probabilities,
+    validated_probabilities,
 )
 
 # treat violation margins below these floors as "no violation" inside the
@@ -309,42 +309,61 @@ def minimize_t2_cutoff(cfg: SearchConfig,
 # ---------------------------------------------------------------------------
 # noise analysis of the one-parameter family
 
-def _min_efficiency_from_ideal(probs: np.ndarray) -> float | None:
-    """Symmetric crossing of the probability-form statistic, with an
-    independent bisection check on the observed tensor."""
-    tensor = BehaviorTensor(probs)
-    triple, pair = t2_triple_and_pair_sums(tensor)
-    if triple <= 0.0:
-        return None
-    ratio = pair / triple
-    if ratio >= 1.0 - _FEASIBILITY_MARGIN:
-        # no strict violation at any eta <= 1; cheap sanity check at eta = 1
-        if t2_statistic(probs, pair_reading="checked") > 1e-9:
-            raise RuntimeError("closed form says infeasible but eta=1 violates")
-        return None
+def _t2_noise_crossings(probs: np.ndarray) -> list[float | None]:
+    """Symmetric crossings Q/T of a stack of behavior arrays, cross-checked.
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECTION_TOL:
+    ``probs`` has shape ``(n, 2, 2, 2, 2, 2, 2)``.  Each tensor is validated
+    and clipped as a `BehaviorTensor` would be; its crossing is the
+    closed-form ratio of its pair and triple sums, or None when no
+    efficiency eta <= 1 gives a strict violation.  Two runtime checks keep
+    the closed form honest: the statistic at eta = 1 must not violate on
+    any tensor called infeasible, and one bisection of the observed
+    statistic over [0, 1], run on all feasible tensors at once, must land
+    within 1e-6 of every ratio.  Either failure raises RuntimeError.
+    """
+    probs = validated_probabilities(probs)
+    triple, pair = t2_triple_and_pair_sums(probs)
+    positive = triple > 0.0
+    ratio = np.divide(pair, triple, out=np.full_like(pair, np.inf), where=positive)
+    feasible = ratio < 1.0 - _FEASIBILITY_MARGIN
+
+    # no strict violation at any eta <= 1 off the feasible set; cheap sanity
+    # check at eta = 1
+    if not feasible.all():
+        at_one = t2_statistic(probs[~feasible], pair_reading="checked")
+        if np.any(at_one > 1e-9):
+            raise RuntimeError("closed form says infeasible but eta=1 violates")
+
+    targets = probs[feasible]
+    lo, hi = np.zeros(len(targets)), np.ones(len(targets))
+    while len(targets) and np.max(hi - lo) > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        observed = observed_probabilities(probs, (mid, mid, mid))
-        if t2_statistic(observed, pair_reading="checked") > 0.0:
-            hi = mid
-        else:
-            lo = mid
+        observed = observed_probabilities(targets, np.repeat(mid[:, None], 3, axis=1))
+        violated = t2_statistic(observed, pair_reading="checked") > 0.0
+        hi = np.where(violated, mid, hi)
+        lo = np.where(violated, lo, mid)
     bisected = 0.5 * (lo + hi)
-    if abs(bisected - ratio) > 1e-6:
+    closed_form = ratio[feasible]
+    gap = np.abs(bisected - closed_form)
+    if np.any(gap > 1e-6):
+        worst = int(np.argmax(gap))
         raise RuntimeError(
-            f"closed-form crossing {ratio} and bisection {bisected} disagree beyond 1e-6"
+            f"closed-form crossing {closed_form[worst]} and bisection {bisected[worst]} "
+            f"disagree beyond 1e-6"
         )
-    return float(ratio)
+    return [float(r) if ok else None for r, ok in zip(ratio, feasible)]
 
 
 def noisy_t2_min_efficiency(theta: ThetaSetting, noise: NoiseLevel) -> float | None:
     """Minimum symmetric efficiency certifying the one-parameter family at
-    white-noise weight p, or None when no eta <= 1 yields violation."""
+    white-noise weight p, or None when no eta <= 1 yields violation.
+
+    The tensor comes from the density-matrix route and goes through the
+    same cross-checked crossing as `sweep_t2_noise`, as a batch of one.
+    """
     rho = mix_white_noise(density_from_pure(theta_state(theta)), noise)
     tensor = behavior_from_settings(rho, theta_measurements(theta))
-    return _min_efficiency_from_ideal(tensor.probs)
+    return _t2_noise_crossings(tensor.probs[None])[0]
 
 
 def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
@@ -352,29 +371,29 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
 
     Uses linearity of the Born rule in the state: the noisy tensor equals
     (1 - p) * ideal + p * uniform, which the family tests pin against the
-    density-matrix route to 1e-12.
+    density-matrix route to 1e-12.  Each noise row, every theta at one p,
+    is one stack of tensors: it is validated, its crossings Q/T are read in
+    closed form, the cells called infeasible are checked not to violate at
+    eta = 1, and one vectorised 30-step bisection of the observed statistic
+    over all feasible cells cross-checks every Q/T.  A disagreement beyond
+    1e-6 raises RuntimeError.
     """
-    thetas = [float(t) for t in theta_grid]
-    ps = [float(p) for p in p_grid]
+    thetas = sorted(float(t) for t in theta_grid)
+    ps = sorted(float(p) for p in p_grid)
     if not thetas or not ps:
         raise ValueError("grids must be nonempty")
-    for t in thetas:
-        ThetaSetting(t)  # domain check
+    settings = [ThetaSetting(t) for t in thetas]  # domain check
     for p in ps:
         NoiseLevel(p)
 
-    ideal = {}
-    for t in thetas:
-        setting = ThetaSetting(t)
-        tensor = behavior_from_settings(
-            density_from_pure(theta_state(setting)), theta_measurements(setting)
-        )
-        ideal[t] = tensor.probs
+    ideal = np.stack([
+        behavior_from_settings(density_from_pure(theta_state(s)), theta_measurements(s)).probs
+        for s in settings
+    ])
 
     rows = []
     uniform = np.full((2,) * 6, 0.125)
-    for p in sorted(ps):
-        for t in sorted(thetas):
-            probs = (1.0 - p) * ideal[t] + p * uniform
-            rows.append(SweepRow(theta=t, p=p, eta_min=_min_efficiency_from_ideal(probs)))
+    for p in ps:
+        crossings = _t2_noise_crossings((1.0 - p) * ideal + p * uniform)
+        rows += [SweepRow(theta=t, p=p, eta_min=eta) for t, eta in zip(thetas, crossings)]
     return rows

@@ -206,3 +206,26 @@ class TestSettingsFiles:
         assert code == 0
         assert "observed_t2" in record["outputs"]
         assert record["outputs"]["observed_t2"] != record["outputs"]["ideal_t2"]
+
+
+MALFORMED = {
+    "theta-out-of-range": ["evaluate", "--theta", "4"],
+    "eta-not-a-number": ["evaluate", "--theta", "0.3", "--eta", "a,b,c"],
+    "eta-out-of-range": ["evaluate", "--theta", "0.3", "--eta", "1.2,1,1"],
+    "p-nan": ["evaluate", "--theta", "0.3", "--p", "nan"],
+    "zero-restarts": ["mde", "--inequality", "t2", "--restarts", "0",
+                      "--out", "{tmp}/probe.json"],
+    "theta-grid-at-zero": ["sweep", "--theta-grid", "0:1:5", "--out", "{tmp}/probe.csv"],
+    "state-not-a-list": ["evaluate", "--settings", "{tmp}/bad-state.json"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
+    (tmp_path / "bad-state.json").write_text(json.dumps(
+        {"explicit": {"state": 5, "measurements": [[0.0, 0.0]] * 6}}))
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+    assert not (tmp_path / "probe.json").exists() and not (tmp_path / "probe.csv").exists()

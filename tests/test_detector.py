@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_behavior
-from tribell.detector import EfficiencyTriple, observe
+from tribell.detector import EfficiencyTriple, observe, observed_probabilities
 from tribell.qcore import no_signaling_deviation
 
 
@@ -74,3 +74,16 @@ class TestObserve:
         twice = observe(observe(t, first), second)
         once = observe(t, combined)
         np.testing.assert_allclose(twice.probs, once.probs, atol=1e-12)
+
+    def test_stack_with_per_tensor_efficiencies(self, rng):
+        tensors = [random_behavior(rng).probs for _ in range(7)]
+        etas = rng.uniform(0.0, 1.0, size=(7, 3))
+        stacked = observed_probabilities(np.stack(tensors), etas)
+        assert stacked.shape == (7,) + (2,) * 6
+        for probs, eta, got in zip(tensors, etas, stacked):
+            np.testing.assert_allclose(got, observed_probabilities(probs, tuple(eta)),
+                                       rtol=0, atol=1e-15)
+            # reference: the per-party stochastic kernel applied as one contraction
+            ka, kb, kc = (np.array([[e, 0.0], [1.0 - e, 1.0]]) for e in eta)
+            kernel = np.einsum("aA,bB,cC,ABCxyz->abcxyz", ka, kb, kc, probs)
+            np.testing.assert_allclose(got, kernel, rtol=0, atol=1e-15)

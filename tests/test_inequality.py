@@ -281,3 +281,23 @@ class TestT2StatisticReadings:
         base = vals.pop("checked")
         for v in vals.values():
             assert v == pytest.approx(base, abs=1e-12)
+
+    def test_stack_matches_per_tensor_values(self, rng):
+        tensors = [random_behavior(rng, mixed=bool(i % 2)).probs for i in range(6)]
+        for reading in ("checked", "pessimistic", "mean", "setting0", "setting1"):
+            values = t2_statistic(np.stack(tensors), pair_reading=reading)
+            assert values.shape == (6,)
+            for probs, value in zip(tensors, values):
+                assert value == t2_statistic(probs, pair_reading=reading)
+
+    def test_checked_reading_rejects_one_signaling_tensor_in_a_stack(self, rng):
+        # P(00|ab at 11) is 1 at z = 0 and 0 at z = 1: party C's setting
+        # signals to the pair
+        signaling = np.zeros((2,) * 6)
+        signaling[0, 0, 0, :, :, 0] = 1.0
+        signaling[1, 1, 1, :, :, 1] = 1.0
+        stack = np.stack([random_behavior(rng).probs for _ in range(4)] + [signaling])
+        t2_statistic(stack[:4], pair_reading="checked")
+        with pytest.raises(MarginalInconsistencyError):
+            t2_statistic(stack, pair_reading="checked")
+        t2_statistic(stack, pair_reading="pessimistic")

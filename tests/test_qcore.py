@@ -16,6 +16,7 @@ from tribell.qcore import (
     no_signaling_deviation,
     projector,
     uniform_behavior,
+    validated_probabilities,
 )
 
 
@@ -179,6 +180,20 @@ class TestBehaviorTensor:
     def test_rejects_bad_normalization(self):
         with pytest.raises(NormalizationError):
             BehaviorTensor(np.full((2,) * 6, 0.2))
+
+    def test_stack_validated_per_tensor(self):
+        stack = np.full((3,) + (2,) * 6, 0.125)
+        stack[1, 0, 0, 0, 0, 0, 0] = -0.5e-12
+        stack[1, 1, 1, 1, 0, 0, 0] = 0.25 + 0.5e-12
+        clipped = validated_probabilities(stack)
+        assert clipped.min() == 0.0
+        np.testing.assert_array_equal(clipped[1], BehaviorTensor(stack[1]).probs)
+        stack[2, 1, 1, 1, 1, 1, 1] = 0.2  # one slice of one tensor off
+        with pytest.raises(NormalizationError):
+            validated_probabilities(stack)
+        stack[2, 1, 1, 1, 1, 1, 1] = -1e-9
+        with pytest.raises(NormalizationError):
+            validated_probabilities(stack)
 
     def test_uniform_behavior(self):
         t = uniform_behavior()

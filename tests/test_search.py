@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tribell import search
 from tribell.detector import EfficiencyTriple, observe
 from tribell.errors import SearchFailureError
 from tribell.families import NoiseLevel, ThetaSetting, ghz_setting, theta_measurements, theta_state
@@ -138,3 +139,10 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_t2_noise([], [0.0])
+
+    def test_bisection_cross_check_is_live(self, monkeypatch):
+        # a channel that ignores the efficiencies leaves every feasible
+        # point violating at all eta, so the bisection cannot meet Q/T
+        monkeypatch.setattr(search, "observed_probabilities", lambda probs, etas: probs)
+        with pytest.raises(RuntimeError, match="disagree"):
+            sweep_t2_noise([0.3, 0.6], [0.0, 0.01])
