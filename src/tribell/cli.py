@@ -95,6 +95,17 @@ def _require(cond: bool, message: str) -> None:
         raise SettingsFileError(message)
 
 
+def _finite(value) -> float:
+    """A settings number as a float; NaN, infinities and integers too large
+    for a float are usage errors."""
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise SettingsFileError(f"number out of range: {exc}") from exc
+    _require(np.isfinite(number), f"number {value!r} is not finite")
+    return number
+
+
 @contextmanager
 def _usage_errors(context: str):
     """Report a malformed value met while building inputs as a usage error.
@@ -133,12 +144,12 @@ def _parse_settings_payload(payload: dict) -> SettingsSpec:
         _require(isinstance(params, dict), "'parameters' must be an object")
         if fam["name"] == "theta":
             _require("theta" in params, "theta family needs parameters.theta (radians)")
-            setting = ThetaSetting(float(params["theta"]))
+            setting = ThetaSetting(_finite(params["theta"]))
             state, settings = theta_state(setting), theta_measurements(setting)
         elif fam["name"] == "ghz":
             azimuths = params.get("azimuths", list(GHZ_OPTIMAL_AZIMUTHS))
             _require(len(azimuths) == 6, "ghz family needs 6 azimuths (radians)")
-            state, settings = ghz_setting([float(v) for v in azimuths])
+            state, settings = ghz_setting([_finite(v) for v in azimuths])
         else:
             raise SettingsFileError(f"unknown family name {fam['name']!r}")
     else:
@@ -151,24 +162,24 @@ def _parse_settings_payload(payload: dict) -> SettingsSpec:
         amps = []
         for i, pair in enumerate(raw_state):
             _require(len(pair) == 2, f"state entry {i} must be [re, im]")
-            amps.append(float(pair[0]) + 1j * float(pair[1]))
+            amps.append(_finite(pair[0]) + 1j * _finite(pair[1]))
         state = PureState(np.array(amps))
         raw_meas = exp["measurements"]
         _require(len(raw_meas) == 6, "explicit measurements need 6 [polar, azimuth] pairs")
         ms = []
         for i, pair in enumerate(raw_meas):
             _require(len(pair) == 2, f"measurement {i} must be [polar, azimuth]")
-            ms.append(QubitMeasurement(polar=float(pair[0]), azimuth=float(pair[1])))
+            ms.append(QubitMeasurement(polar=_finite(pair[0]), azimuth=_finite(pair[1])))
         settings = SettingsTriple(a=(ms[0], ms[1]), b=(ms[2], ms[3]), c=(ms[4], ms[5]))
 
     noise = None
     if "noise_p" in payload:
-        noise = NoiseLevel(float(payload["noise_p"]))
+        noise = NoiseLevel(_finite(payload["noise_p"]))
     etas = None
     if "efficiencies" in payload:
         eff = payload["efficiencies"]
         _require(len(eff) == 3, "'efficiencies' must list [eta_a, eta_b, eta_c]")
-        etas = EfficiencyTriple(*(float(v) for v in eff))
+        etas = EfficiencyTriple(*(_finite(v) for v in eff))
     return SettingsSpec(state=state, settings=settings, noise=noise, etas=etas, payload=payload)
 
 

@@ -1,19 +1,31 @@
 """Evaluation of the two genuine-nonlocality inequalities and their cutoffs.
 
-Two certificates are implemented on behavior tensors:
+Each inequality is defined once, as integer coefficients over the 64
+entries of a behavior ``P(abc|xyz)`` (flattened in index order), with one
+row per party subset: the row of subset S carries the terms that read the
+probability that every party in S outputs 0.  These are the all-zero
+("no-click") coordinates of Collins & Gisin, J. Phys. A 37, 1775 (2004).
 
-* the correlator form with classical bound 4 (Svetlichny type), mapping
-  outcomes 0 -> +1 and 1 -> -1;
-* the probability form with classical bound 0 (T2 type), built from
-  all-zero outcome probabilities and pair marginals.
+* `SVETLICHNY_FORM`: the correlator form with classical bound 4
+  (Svetlichny type), mapping outcomes 0 -> +1 and 1 -> -1;
+* `T2_FORMS`: the probability form with classical bound 0 (T2 type), a
+  signed combination of all-zero triple probabilities minus twice three
+  pair marginals of zeros, once for each of the 8 choices of the pairs'
+  dummy settings.
 
-Both come with closed-form cutoff efficiencies: the efficiency at which a
-fixed state-and-measurements setting starts violating the inequality when
-every detector records no-clicks as outcome 1.
+A detector that records a no-click as outcome 1 scales every all-zero
+probability of a subset by the product of its parties' efficiencies.  So
+the observed value of either form is a polynomial in the efficiencies
+whose coefficients are products of the ideal behavior with the rows, and
+the closed-form cutoffs are roots of that polynomial.  The statistics, the
+cutoff coefficients (alpha, beta, gamma and T, Q), the marginal checks and
+the exact classical bounds of `polytope` are all products with these
+arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -37,9 +49,107 @@ CORRELATOR_SIGNS = np.full((2, 2, 2), -1.0)
 CORRELATOR_SIGNS[0, 1, 0] = 1.0
 CORRELATOR_SIGNS[1, 0, 1] = 1.0
 
-# (-1)^(a+b+c) over the outcome axes
-_OUTCOME_PARITY = np.array([1.0, -1.0])
-_PARITY3 = np.einsum("a,b,c->abc", _OUTCOME_PARITY, _OUTCOME_PARITY, _OUTCOME_PARITY)
+# Signed combination of the all-zero triple probabilities P(000|xyz) in
+# the probability form
+T2_TRIPLE_SIGNS = np.array([[[0, -1], [-1, 2]], [[-1, 2], [2, 2]]])
+
+# Party subsets and setting triples are bit masks in index order: party a
+# (setting x) is 4, b (y) is 2, c (z) is 1.  Entry e of the flattened
+# behavior has outcomes e // 8 and settings e % 8.
+_ENTRY = np.arange(64)
+_SUBSET_SIZE = np.array([bin(s).count("1") for s in range(8)])
+
+# _ALL_ZERO[S, t, e]: entry e has every party of subset S output 0, at
+# setting triple t; row (S, t) reads P(0...0 for S | t)
+_ALL_ZERO = ((_ENTRY // 8 & np.arange(8)[:, None, None]) == 0) & (_ENTRY % 8 == np.arange(8)[:, None])
+
+# The correlator form, s_xyz (-1)^(a+b+c) = s_xyz prod_i (2 [o_i = 0] - 1),
+# expanded over the subsets of parties whose zeros the product picks
+SVETLICHNY_FORM = ((-1) ** (3 - _SUBSET_SIZE) * 2 ** _SUBSET_SIZE)[:, None] * np.einsum(
+    "t,ste->se", CORRELATOR_SIGNS.reshape(8).astype(int), _ALL_ZERO)
+
+# The pairs whose marginals of zeros the probability form reads at
+# settings 11, as subsets (ab, bc, ac); the third party's setting is a
+# dummy.  Reading r puts the dummy of pair k at bit k of r: reading 0 is
+# the dummy at setting 0 throughout, reading 7 at setting 1.
+T2_PAIRS = (6, 3, 5)
+T2_FORMS = np.zeros((8, 8, 64), dtype=int)
+T2_FORMS[:, 7] = np.einsum("t,te->e", T2_TRIPLE_SIGNS.reshape(8), _ALL_ZERO[7])
+for _r in range(8):
+    for _k, _pair in enumerate(T2_PAIRS):
+        T2_FORMS[_r, _pair] = -2 * _ALL_ZERO[_pair, _pair + (_r >> _k & 1) * (7 - _pair)]
+
+
+def _product(rows: np.ndarray):
+    """Products with ``rows`` (..., 64) as a function of behavior arrays.
+
+    The function takes one behavior array or a stack of them along leading
+    axes and returns shape (stack..., rows...).  It multiplies entry by
+    entry and sums along the last axis, so a tensor gives the same bits
+    alone as in a stack; only the entries some row weights are read.
+    """
+    entries = np.flatnonzero(np.reshape(rows, (-1, 64)).any(axis=0))
+    coefficients = rows[..., entries].astype(float)
+    row_axes = (1,) * (rows.ndim - 1) + (64,)
+
+    def product(probs):
+        flat = probs.reshape(probs.shape[:-6] + row_axes)
+        return (flat[..., entries] * coefficients).sum(axis=-1)
+
+    return product
+
+
+def _marginal_checks(marginals):
+    """Rows of differences between two readings of one marginal.
+
+    For each marginal (S, t), P(0...0 for subset S | its parties at the
+    settings in mask t), one row per pair of settings of the parties
+    outside S; with the label of the marginal each row belongs to.
+    """
+    rows, labels = [], []
+    for subset, settings in marginals:
+        parties = [i for i in range(3) if subset & 4 >> i]
+        label = "P({}|{} at {})".format(
+            "0" * len(parties), "".join("abc"[i] for i in parties),
+            "".join(str(settings >> 2 - i & 1) for i in parties))
+        outside = [t for t in range(8) if t & subset == settings]
+        for t0, t1 in itertools.combinations(outside, 2):
+            rows.append(_ALL_ZERO[subset, t0].astype(int) - _ALL_ZERO[subset, t1])
+            labels.append(label)
+    return np.array(rows), labels
+
+
+_correlator = _product(SVETLICHNY_FORM.sum(axis=0))
+# 4 alpha, 4 beta and -4 gamma: the 3-, 2- and 1-party rows
+_cutoff_coefficients = _product(
+    np.stack([SVETLICHNY_FORM[_SUBSET_SIZE == k].sum(axis=0) for k in (3, 2, 1)])
+    * np.array([[0.25], [0.25], [-0.25]]))
+# every one- and two-party marginal the correlator form weights must be
+# setting-free: those whose signs do not cancel over the outside settings
+_SVETLICHNY_CHECKS, _SVETLICHNY_LABELS = _marginal_checks(
+    (subset, settings)
+    for subset in range(1, 7)
+    for settings in range(8)
+    if settings & ~subset == 0
+    and CORRELATOR_SIGNS.reshape(8)[[t for t in range(8) if t & subset == settings]].sum() != 0)
+_svetlichny_marginals = _product(_SVETLICHNY_CHECKS)
+# the probability form: the triple sum T, then -Q (minus twice the pair
+# sum) under each of the 8 readings, then its pair marginals at settings
+# 11 read at both dummy settings, in one product
+_T2_CHECKS, _T2_LABELS = _marginal_checks((pair, pair) for pair in T2_PAIRS)
+_t2 = _product(np.concatenate(
+    [T2_FORMS[:1, 7], T2_FORMS[:, _SUBSET_SIZE == 2].sum(axis=1), _T2_CHECKS]))
+
+
+def _require_agreement(differences: np.ndarray, labels, tol: float) -> None:
+    """Raise unless every difference of two readings of a marginal is
+    within tol; the last axis of ``differences`` runs along ``labels``."""
+    gaps = np.abs(differences).reshape(-1)
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > tol:
+        raise MarginalInconsistencyError(
+            f"{labels[worst % len(labels)]} differs across outside settings by {gaps[worst]:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -74,93 +184,20 @@ class SvetlichnyCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# marginals
-
-def _pair_zero_values(probs: np.ndarray, pair: str, s1: int, s2: int) -> np.ndarray:
-    """P(00|pair at settings s1,s2), summed over the third party's outcome,
-    evaluated at each of the third party's two settings: shape (..., 2)
-    for a behavior array or a stack of them along leading axes."""
-    if pair == "ab":
-        return probs[..., 0, 0, :, s1, s2, :].sum(axis=-2)
-    if pair == "bc":
-        return probs[..., :, 0, 0, :, s1, s2].sum(axis=-2)
-    if pair == "ac":
-        return probs[..., 0, :, 0, s1, :, s2].sum(axis=-2)
-    raise ValueError(f"unknown pair {pair!r}")
-
-
-def _single_zero_values(probs: np.ndarray, party: str, s: int) -> np.ndarray:
-    """P(0|party at setting s) at the four settings of the other two parties."""
-    if party == "a":
-        return probs[0, :, :, s, :, :].sum(axis=(0, 1)).reshape(-1)
-    if party == "b":
-        return probs[:, 0, :, :, s, :].sum(axis=(0, 1)).reshape(-1)
-    if party == "c":
-        return probs[:, :, 0, :, :, s].sum(axis=(0, 1)).reshape(-1)
-    raise ValueError(f"unknown party {party!r}")
-
-
-def _checked_pair(probs, pair, s1, s2, tol):
-    # setting-free marginals only exist under no-signaling: take the value at
-    # the third party's setting 0 and cross-check against setting 1
-    v0, v1 = (float(v) for v in _pair_zero_values(probs, pair, s1, s2))
-    if abs(v0 - v1) > tol:
-        raise MarginalInconsistencyError(
-            f"P(00|{pair} at {s1}{s2}) differs across the third setting by {abs(v0 - v1):.3e}"
-        )
-    return v0
-
-
-def _checked_single(probs, party, s, tol):
-    vals = _single_zero_values(probs, party, s)
-    if vals.max() - vals.min() > tol:
-        raise MarginalInconsistencyError(
-            f"P(0|{party} at {s}) differs across outside settings by {vals.max() - vals.min():.3e}"
-        )
-    return float(vals[0])
-
-
-# ---------------------------------------------------------------------------
 # the two inequality statistics
-
-def _t2_pair_sum(probs: np.ndarray, pair_reading: str, tol: float):
-    """Sum of the three pair marginals of zeros at settings 11 under one
-    reading of the dummy setting (see `t2_statistic`)."""
-    pairs = []
-    for pair in ("ab", "bc", "ac"):
-        vals = _pair_zero_values(probs, pair, 1, 1)
-        v0, v1 = vals[..., 0], vals[..., 1]
-        if pair_reading == "checked":
-            dev = np.max(np.abs(v0 - v1))
-            if dev > tol:
-                raise MarginalInconsistencyError(
-                    f"P(00|{pair} at 11) differs across the third setting by {dev:.3e}"
-                )
-            pairs.append(v0)
-        elif pair_reading == "pessimistic":
-            pairs.append(np.maximum(v0, v1))
-        elif pair_reading == "mean":
-            pairs.append(0.5 * (v0 + v1))
-        elif pair_reading == "setting0":
-            pairs.append(v0)
-        elif pair_reading == "setting1":
-            pairs.append(v1)
-        else:
-            raise ValueError(f"unknown pair_reading {pair_reading!r}")
-    return pairs[0] + pairs[1] + pairs[2]
-
-
-def _t2_triple(probs: np.ndarray):
-    """Signed combination of the all-zero triple probabilities."""
-    m = probs[..., 0, 0, 0, :, :, :]
-    return (
-        -m[..., 0, 0, 1] - m[..., 0, 1, 0] - m[..., 1, 0, 0]
-        + 2.0 * (m[..., 1, 1, 0] + m[..., 1, 0, 1] + m[..., 0, 1, 1] + m[..., 1, 1, 1])
-    )
-
 
 def _scalar_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
+
+
+def _t2_terms(probs, tol: float | None = None):
+    """Triple sum T and -Q under each of the 8 pair readings, shapes (...)
+    and (..., 8); with a tolerance, first require each pair marginal to
+    agree across its dummy setting."""
+    values = _t2(probs)
+    if tol is not None:
+        _require_agreement(values[..., 9:], _T2_LABELS, tol)
+    return values[..., 0], values[..., 1:9]
 
 
 def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked",
@@ -170,18 +207,32 @@ def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked",
     ``probs`` is one behavior array, giving a float, or a stack of them
     along leading axes, giving an array of values.
 
-    ``pair_reading`` selects how the three pair marginals are extracted:
+    ``pair_reading`` selects how the three pair marginals are extracted,
+    among the 8 readings of `T2_FORMS`:
 
     * ``"checked"``   - require both dummy-setting values to agree (tensors
       that satisfy no-signaling); raise if any tensor of a stack does not.
-    * ``"pessimistic"`` - take the larger dummy-setting value per pair, which
-      can only lower the statistic.  This is the reading under which the
-      deterministic-strategy bound of 0 is exact; see `polytope`.
+    * ``"pessimistic"`` - the minimum over all 8 readings: the larger
+      dummy-setting value per pair, which can only lower the statistic.
+      This is the reading under which the deterministic-strategy bound of
+      0 is exact; see `polytope`.
     * ``"mean"``, ``"setting0"``, ``"setting1"`` - linear readings used for
-      convexity checks on vertex mixtures.
+      convexity checks on vertex mixtures: the mean of readings 0 and 7,
+      reading 0 and reading 7.
     """
-    pair = 2.0 * _t2_pair_sum(probs, pair_reading, tol)
-    return _scalar_or_array(_t2_triple(probs) - pair)
+    if pair_reading not in ("checked", "pessimistic", "mean", "setting0", "setting1"):
+        raise ValueError(f"unknown pair_reading {pair_reading!r}")
+    triple, minus_q = _t2_terms(probs, tol if pair_reading == "checked" else None)
+    readings = triple[..., None] + minus_q
+    if pair_reading == "pessimistic":
+        value = readings.min(axis=-1)
+    elif pair_reading == "mean":
+        value = 0.5 * (readings[..., 0] + readings[..., 7])
+    elif pair_reading == "setting1":
+        value = readings[..., 7]
+    else:
+        value = readings[..., 0]
+    return _scalar_or_array(value)
 
 
 def t2_value(t: BehaviorTensor) -> InequalityValue:
@@ -192,8 +243,7 @@ def t2_value(t: BehaviorTensor) -> InequalityValue:
 
 def svetlichny_statistic(probs: np.ndarray) -> float:
     """Correlator-form statistic with classical bound 4."""
-    corr = np.einsum("abc,abcxyz->xyz", _PARITY3, probs)
-    return float(np.sum(CORRELATOR_SIGNS * corr))
+    return float(_correlator(probs))
 
 
 def svetlichny_corr_value(t: BehaviorTensor) -> InequalityValue:
@@ -205,40 +255,42 @@ def svetlichny_corr_value(t: BehaviorTensor) -> InequalityValue:
 def svetlichny_coefficients(t: BehaviorTensor, *, tol: float = MARGINAL_TOL) -> SvetlichnyCoefficients:
     """Extract (alpha, beta, gamma) of the cutoff quadratic from a behavior.
 
-    Expanding each correlator of the bound-4 combination in terms of
-    all-zero-outcome probabilities gives the exact identity
+    The 3-, 2- and 1-party rows of `SVETLICHNY_FORM`, each summed over all
+    setting triples, give 4 alpha, 4 beta and -4 gamma, and the empty
+    subset's row gives 4.  Under symmetric efficiency eta the k-party rows
+    scale by eta^k, so for every tensor the observed statistic is
 
-        S - 4 = 4 * (alpha + beta - gamma)
+        S(eta) - 4 = 4 * eta * (alpha * eta**2 + beta * eta - gamma),
 
-    with the normalization used here (relative weights 2 : 2 : 1 for
-    alpha : beta : gamma).  Each sum below ranges over its own term's
-    indices only; letting every term range over all three setting indices
-    would multiply the pair group by 2 and the single group by 4 and is a
-    different (rejected) normalization, under which the eta = 1 reduction
-    no longer coincides with the correlator violation condition.
-
-    The pair-index patterns are forced by the correlator signs: the AB and
-    BC pairs enter at equal settings (00 and 11), the AC pair at unequal
-    settings (01 and 10).  Swapping the BC and AC patterns breaks the
-    identity above on generic tensors.
+    which at eta = 1 is S - 4 = 4 * (alpha + beta - gamma).  On
+    no-signaling tensors alpha is twice the signed sum of P(000|xyz), beta
+    twice the sum of the six pair marginals of zeros whose signs do not
+    cancel over the dummy setting (AB and BC at settings 00 and 11, AC at
+    01 and 10), and gamma the sum of the six single marginals of zero.
+    Every one of those marginals must agree across its outside settings
+    within ``tol``.
     """
     probs = t.probs
-    alpha = 2.0 * float(np.sum(CORRELATOR_SIGNS * probs[0, 0, 0]))
-    beta = 2.0 * (
-        _checked_pair(probs, "ab", 0, 0, tol) + _checked_pair(probs, "ab", 1, 1, tol)
-        + _checked_pair(probs, "bc", 0, 0, tol) + _checked_pair(probs, "bc", 1, 1, tol)
-        + _checked_pair(probs, "ac", 0, 1, tol) + _checked_pair(probs, "ac", 1, 0, tol)
-    )
-    gamma = sum(
-        _checked_single(probs, party, s, tol)
-        for party in ("a", "b", "c")
-        for s in (0, 1)
-    )
+    _require_agreement(_svetlichny_marginals(probs), _SVETLICHNY_LABELS, tol)
+    alpha, beta, gamma = (float(v) for v in _cutoff_coefficients(probs))
     return SvetlichnyCoefficients(alpha=alpha, beta=max(beta, 0.0), gamma=max(gamma, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # cutoff efficiencies
+
+def _quadratic_root(alpha: float, beta: float, gamma: float) -> float:
+    """Crossing of alpha*eta^2 + beta*eta - gamma = 0 below which a violation
+    with positive margin alpha + beta - gamma disappears: for alpha < 0 the
+    smaller of the two positive roots."""
+    if abs(alpha) < 1e-12:
+        return gamma / beta
+    disc = beta * beta + 4.0 * alpha * gamma
+    if alpha > 0:
+        return (-beta + np.sqrt(disc)) / (2.0 * alpha)
+    # a positive margin guarantees disc > 0 here
+    return (beta - np.sqrt(max(disc, 0.0))) / (2.0 * abs(alpha))
+
 
 def svetlichny_cutoff(c: SvetlichnyCoefficients) -> float:
     """Symmetric efficiency at which the correlator violation switches on.
@@ -256,15 +308,7 @@ def svetlichny_cutoff(c: SvetlichnyCoefficients) -> float:
     margin = c.violation_margin
     if margin <= VIOLATION_TOL:
         raise NoViolationError("settings do not violate at unit efficiency", deficit=-margin)
-    if abs(alpha) < 1e-12:
-        root = gamma / beta
-    else:
-        disc = beta * beta + 4.0 * alpha * gamma
-        if alpha > 0:
-            root = (-beta + np.sqrt(disc)) / (2.0 * alpha)
-        else:
-            # margin > 0 guarantees disc > 0 here
-            root = (beta - np.sqrt(disc)) / (2.0 * abs(alpha))
+    root = _quadratic_root(alpha, beta, gamma)
     if root < 1e-15:
         warnings.warn("cutoff is 0: violation persists at every positive efficiency")
         root = 0.0
@@ -310,16 +354,16 @@ def t2_triple_and_pair_sums(t: BehaviorTensor | np.ndarray, *, tol: float = MARG
 
     ``t`` is a `BehaviorTensor`, giving two floats, or a validated stack of
     behavior arrays (see `qcore.validated_probabilities`), giving two
-    arrays.  The pair marginals use the checked reading of `t2_statistic`.
+    arrays.  T is the 3-party row of `T2_FORMS` and -Q the 2-party rows of
+    its reading 0, with the marginal check of the checked reading.
 
     The observed probability-form statistic at symmetric efficiency eta is
     exactly eta^3 * T - eta^2 * Q, since every triple term scales with
     eta^3 and every pair marginal of zeros with eta^2.
     """
     probs = t.probs if isinstance(t, BehaviorTensor) else t
-    triple = _t2_triple(probs)
-    pair = 2.0 * _t2_pair_sum(probs, "checked", tol)
-    return _scalar_or_array(triple), _scalar_or_array(pair)
+    triple, minus_q = _t2_terms(probs, tol)
+    return _scalar_or_array(triple), _scalar_or_array(-minus_q[..., 0])
 
 
 def t2_cutoff_symmetric(t_ideal: BehaviorTensor) -> float | None:

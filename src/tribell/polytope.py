@@ -20,7 +20,10 @@ readings admit deterministic strategies with strictly positive values.
 dummy party is the solo party is always setting-free for vertices; this is
 asserted during evaluation rather than assumed.
 
-All vertex evaluations are exact integer arithmetic on 0/1 tensors.
+A vertex is evaluated as one row of a vertex matrix: its deterministic
+behavior, one unit entry per setting triple among the 64 entries of
+P(abc|xyz), as int8.  The statistics are then exact integer products with
+the coefficient arrays of `inequality`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inequality import SVETLICHNY_FORM, T2_FORMS, T2_PAIRS
 from .qcore import BehaviorTensor
 
 PARTITIONS = ("AB|C", "AC|B", "BC|A")
@@ -40,13 +44,6 @@ _GROUPING = {
     "AC|B": (0, 2, 1),
     "BC|A": (1, 2, 0),
 }
-
-# correlator sign table, +1 at (0,1,0) and (1,0,1)
-_SIGNS = {
-    (x, y, z): 1 if (x, y, z) in ((0, 1, 0), (1, 0, 1)) else -1
-    for x, y, z in itertools.product(range(2), repeat=3)
-}
-
 
 @dataclass(frozen=True)
 class BilocalVertex:
@@ -145,75 +142,48 @@ def _outcome_table(v: BilocalVertex | T2Vertex) -> np.ndarray:
     return table
 
 
+def _vertex_matrix(vertices) -> np.ndarray:
+    """One int8 row per vertex: its deterministic behavior over the 64
+    entries of P(abc|xyz), a 1 at entry 8 * (4a + 2b + c) + (4x + 2y + z)
+    for the outcomes a, b, c it gives at each setting triple x, y, z."""
+    matrix = np.zeros((len(vertices), 64), dtype=np.int8)
+    for row, v in zip(matrix, vertices):
+        row[8 * (_outcome_table(v).reshape(8, 3) @ (4, 2, 1)) + np.arange(8)] = 1
+    return matrix
+
+
 def vertex_to_behavior(v: BilocalVertex | T2Vertex) -> BehaviorTensor:
     """Deterministic behavior tensor: one unit entry per setting triple.
 
     Normalization holds by construction; no-signaling may fail across the
     signaling cut, which is permitted for vertices.
     """
-    table = _outcome_table(v)
-    probs = np.zeros((2,) * 6)
-    for x, y, z in itertools.product(range(2), repeat=3):
-        a, b, c = table[x, y, z]
-        probs[a, b, c, x, y, z] = 1.0
-    return BehaviorTensor(probs)
-
-
-def _svetlichny_int(table: np.ndarray) -> int:
-    total = 0
-    for xyz, sign in _SIGNS.items():
-        a, b, c = table[xyz]
-        total += sign * (-1) ** int(a + b + c)
-    return total
-
-
-def _pair00_int(table: np.ndarray, pair: tuple[int, int], dummy: int, d: int) -> int:
-    """Indicator that both pair parties output 0, dummy party at setting d."""
-    settings = [0, 0, 0]
-    settings[pair[0]] = 1
-    settings[pair[1]] = 1
-    settings[dummy] = d
-    out = table[tuple(settings)]
-    return int(out[pair[0]] == 0 and out[pair[1]] == 0)
-
-
-def _t2_int(table: np.ndarray, solo: int) -> int:
-    """Probability-form statistic, pessimistic pair reading, exact integer."""
-    pair_sum = 0
-    for pair, dummy in (((0, 1), 2), ((1, 2), 0), ((0, 2), 1)):
-        v0 = _pair00_int(table, pair, dummy, 0)
-        v1 = _pair00_int(table, pair, dummy, 1)
-        if dummy == solo:
-            # the solo party cannot influence the grouped pair
-            assert v0 == v1, "in-group pair marginal depends on the solo setting"
-        pair_sum += max(v0, v1)
-    m = {xyz: int((table[xyz] == 0).all()) for xyz in _SIGNS}
-    return (
-        -2 * pair_sum
-        - m[(0, 0, 1)] - m[(0, 1, 0)] - m[(1, 0, 0)]
-        + 2 * (m[(1, 1, 0)] + m[(1, 0, 1)] + m[(0, 1, 1)] + m[(1, 1, 1)])
-    )
+    return BehaviorTensor(_vertex_matrix([v]).reshape((2,) * 6))
 
 
 def classical_max(expression: str, vertices) -> int:
     """Exact maximum of an inequality statistic over deterministic strategies.
 
     ``expression`` is ``"svetlichny_corr"`` (classical bound 4) or ``"t2"``
-    (classical bound 0, pessimistic pair reading).  The result is an exact
-    integer; no tolerances are involved.
+    (classical bound 0, pessimistic pair reading: the minimum over the 8
+    readings of `inequality.T2_FORMS`).  The result is an exact integer,
+    the maximum of integer products of the vertex matrix with the form; no
+    tolerances are involved.
     """
     if expression not in ("svetlichny_corr", "t2"):
         raise ValueError(f"unknown expression {expression!r}")
     vertices = list(vertices)
     if not vertices:
         raise ValueError("vertex list is empty")
-    best = None
-    for v in vertices:
-        table = _outcome_table(v)
-        if expression == "svetlichny_corr":
-            val = _svetlichny_int(table)
-        else:
-            val = _t2_int(table, _GROUPING[v.partition][2])
-        if best is None or val > best:
-            best = val
-    return int(best)
+    matrix = _vertex_matrix(vertices)
+    if expression == "svetlichny_corr":
+        return int((matrix @ SVETLICHNY_FORM.sum(axis=0, dtype=np.int16)).max())
+    readings = matrix @ T2_FORMS.sum(axis=1, dtype=np.int16).T
+    # the solo party cannot influence the grouped pair: reading 2**k moves
+    # only pair k's dummy setting, which for the grouped pair (the subset
+    # of all parties but the solo one) is the solo setting
+    grouped = [T2_PAIRS.index(7 - (4 >> _GROUPING[v.partition][2])) for v in vertices]
+    flipped = readings[np.arange(len(vertices)), 1 << np.array(grouped)]
+    assert np.array_equal(flipped, readings[:, 0]), (
+        "in-group pair marginal depends on the solo setting")
+    return int(readings.min(axis=1).max())

@@ -42,7 +42,8 @@ class PureState:
         if amp.shape != (DIM,):
             raise NormalizationError(f"expected {DIM} amplitudes, got {amp.shape}")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
+        # negated comparisons, so that a NaN fails them
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise NormalizationError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _frozen(amp / norm))
 
@@ -66,9 +67,10 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (DIM, DIM):
             raise NormalizationError(f"expected {DIM}x{DIM} matrix, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+        # negated comparisons, so that a NaN fails them before eigvalsh sees it
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:
             raise NormalizationError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
+        if not (abs(np.trace(mat).real - 1.0) <= TRACE_TOL and abs(np.trace(mat).imag) <= TRACE_TOL):
             raise NormalizationError(f"trace {np.trace(mat)} is not 1 within {TRACE_TOL}")
         if np.linalg.eigvalsh(mat).min() < PSD_TOL:
             raise NormalizationError("matrix has an eigenvalue below the PSD tolerance")
@@ -168,11 +170,12 @@ def validated_probabilities(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.shape[-6:] != (2,) * 6:
         raise NormalizationError(f"expected trailing shape {(2,)*6}, got {p.shape}")
-    if p.min() < PROB_FLOOR:
+    # negated comparisons, so that a NaN fails them
+    if not p.min() >= PROB_FLOOR:
         raise NormalizationError(f"negative probability {p.min()} below floor {PROB_FLOOR}")
     p = np.clip(p, 0.0, None)
     deviation = np.max(np.abs(p.sum(axis=(-6, -5, -4)) - 1.0))
-    if deviation > SLICE_SUM_TOL:
+    if not deviation <= SLICE_SUM_TOL:
         raise NormalizationError(f"setting slices must sum to 1, max deviation {deviation}")
     return p
 

@@ -17,7 +17,9 @@ from .detector import observed_probabilities
 from .errors import SearchFailureError
 from .families import NoiseLevel, ThetaSetting, mix_white_noise, theta_measurements, theta_state
 from .inequality import (
-    CORRELATOR_SIGNS,
+    _cutoff_coefficients,
+    _quadratic_root,
+    _t2_terms,
     svetlichny_coefficients,
     svetlichny_cutoff,
     t2_statistic,
@@ -127,8 +129,8 @@ class SweepRow:
 
 
 # ---------------------------------------------------------------------------
-# fast objective plumbing (Born tensors are no-signaling, so dummy-setting-0
-# marginals are used without the cross-check of the public path)
+# fast objective plumbing (Born tensors are no-signaling, so the marginal
+# checks of the public path are skipped)
 
 def _probs_from_vector(vec: np.ndarray) -> np.ndarray | None:
     amp = vec[0:16:2] + 1j * vec[1:16:2]
@@ -144,58 +146,24 @@ def _probs_from_vector(vec: np.ndarray) -> np.ndarray | None:
     return pure_behavior_probabilities(amp, bases)
 
 
-def _fast_coefficients(probs: np.ndarray) -> tuple[float, float, float]:
-    alpha = 2.0 * float(np.sum(CORRELATOR_SIGNS * probs[0, 0, 0]))
-    pab = probs[0, 0, :, :, :, 0].sum(axis=0)      # [x,y] at dummy z=0
-    pbc = probs[:, 0, 0, 0, :, :].sum(axis=0)      # [y,z] at dummy x=0
-    pac = probs[0, :, 0, :, 0, :].sum(axis=0)      # [x,z] at dummy y=0
-    beta = 2.0 * (pab[0, 0] + pab[1, 1] + pbc[0, 0] + pbc[1, 1] + pac[0, 1] + pac[1, 0])
-    singles_a = probs[0, :, :, :, 0, 0].sum(axis=(0, 1))
-    singles_b = probs[:, 0, :, 0, :, 0].sum(axis=(0, 1))
-    singles_c = probs[:, :, 0, 0, 0, :].sum(axis=(0, 1))
-    gamma = float(singles_a.sum() + singles_b.sum() + singles_c.sum())
-    return alpha, float(beta), gamma
-
-
-def _fast_t2_sums(probs: np.ndarray) -> tuple[float, float]:
-    m = probs[0, 0, 0]
-    triple = float(
-        -m[0, 0, 1] - m[0, 1, 0] - m[1, 0, 0]
-        + 2.0 * (m[1, 1, 0] + m[1, 0, 1] + m[0, 1, 1] + m[1, 1, 1])
-    )
-    pair = 2.0 * float(
-        probs[0, 0, :, 1, 1, 0].sum()
-        + probs[:, 0, 0, 0, 1, 1].sum()
-        + probs[0, :, 0, 1, 0, 1].sum()
-    )
-    return triple, pair
-
-
-def _cutoff_root(alpha: float, beta: float, gamma: float) -> float:
-    if abs(alpha) < 1e-12:
-        return gamma / beta if beta > 1e-12 else 1.0
-    disc = beta * beta + 4.0 * alpha * gamma
-    if alpha > 0:
-        return (-beta + np.sqrt(disc)) / (2.0 * alpha)
-    return (beta - np.sqrt(max(disc, 0.0))) / (-2.0 * alpha)
-
-
 def _svetlichny_objective(vec: np.ndarray, penalty_weight: float) -> float:
     probs = _probs_from_vector(vec)
     if probs is None:
         return 2.0
-    alpha, beta, gamma = _fast_coefficients(probs)
+    alpha, beta, gamma = _cutoff_coefficients(probs)
     margin = alpha + beta - gamma
     if margin <= _SVET_MARGIN_FLOOR:
         return 1.0 + penalty_weight * max(-margin, 0.0)
-    return _cutoff_root(alpha, beta, gamma)
+    # margin > 0 and gamma >= 0 keep alpha and beta off the degenerate corner
+    return _quadratic_root(alpha, beta, gamma)
 
 
 def _t2_objective(vec: np.ndarray, penalty_weight: float) -> float:
     probs = _probs_from_vector(vec)
     if probs is None:
         return 2.0
-    triple, pair = _fast_t2_sums(probs)
+    triple, minus_q = _t2_terms(probs)
+    pair = -minus_q[0]
     if triple <= _T2_TRIPLE_FLOOR or pair > triple:
         return 1.0 + penalty_weight * max(pair - triple, 0.0)
     return pair / triple

@@ -64,6 +64,7 @@ def test_criterion_1_classical_bounds_exact():
     print(f"\nACCEPTANCE CRITERION 1: PASS — max 4 over 3072, max 0 over 768, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_symmetric_t2_mde():
     # closed-form cutoff of the one-parameter family decreases to 3/4
     thetas = [0.2, 0.1, 0.05, 0.02, 0.01]
@@ -93,6 +94,7 @@ def test_criterion_3_asymmetric_corollary():
     print("\nACCEPTANCE CRITERION 3: PASS — third efficiency 0.5, strict flip at the boundary")
 
 
+@pytest.mark.slow
 def test_criterion_4_svetlichny_mde(svetlichny_mde, tmp_path):
     result, elapsed = svetlichny_mde
     assert result.best_eta <= 0.882, f"best_eta = {result.best_eta}"
@@ -110,6 +112,7 @@ def test_criterion_4_svetlichny_mde(svetlichny_mde, tmp_path):
           f"re-verified to {abs(reverified - result.best_eta):.1e}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_ghz_reference_cutoff(svetlichny_mde):
     state, settings = ghz_setting()
     tensor = behavior_from_settings(density_from_pure(state), settings)

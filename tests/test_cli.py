@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tribell.cli import explicit_payload, main, parse_settings_payload
 from tribell.families import ghz_setting
@@ -208,6 +212,23 @@ class TestSettingsFiles:
         assert record["outputs"]["observed_t2"] != record["outputs"]["ideal_t2"]
 
 
+_GOOD_STATE = [[0.5 ** 0.5, 0.0]] + [[0.0, 0.0]] * 6 + [[0.5 ** 0.5, 0.0]]
+_EQUATORIAL = [[np.pi / 2, 0.0]] * 6
+
+# settings files the malformed-input probes read; json.dumps writes a
+# non-finite float as NaN or Infinity, which json.load reads back
+PROBE_SETTINGS = {
+    "bad-state.json": {"explicit": {"state": 5, "measurements": [[0.0, 0.0]] * 6}},
+    "nan-angle.json": {"explicit": {"state": _GOOD_STATE,
+                                    "measurements": [[float("nan"), 0.0]] + _EQUATORIAL[1:]}},
+    "inf-angle.json": {"explicit": {"state": _GOOD_STATE,
+                                    "measurements": [[0.3, float("inf")]] + _EQUATORIAL[1:]}},
+    "nan-azimuth.json": {"family": {"name": "ghz", "parameters": {
+        "azimuths": [float("nan"), 1.0, 0.0, 4.7, 2.3, 3.9]}}},
+    "nan-amplitude.json": {"explicit": {"state": [[float("nan"), 0.0]] + _GOOD_STATE[1:],
+                                        "measurements": _EQUATORIAL}},
+}
+
 MALFORMED = {
     "theta-out-of-range": ["evaluate", "--theta", "4"],
     "eta-not-a-number": ["evaluate", "--theta", "0.3", "--eta", "a,b,c"],
@@ -217,15 +238,68 @@ MALFORMED = {
                       "--out", "{tmp}/probe.json"],
     "theta-grid-at-zero": ["sweep", "--theta-grid", "0:1:5", "--out", "{tmp}/probe.csv"],
     "state-not-a-list": ["evaluate", "--settings", "{tmp}/bad-state.json"],
+    "angle-nan": ["evaluate", "--settings", "{tmp}/nan-angle.json", "--json"],
+    "angle-infinity": ["cde", "--settings", "{tmp}/inf-angle.json", "--inequality", "t2",
+                       "--json"],
+    "ghz-azimuth-nan": ["evaluate", "--settings", "{tmp}/nan-azimuth.json", "--json"],
+    "amplitude-nan": ["evaluate", "--settings", "{tmp}/nan-amplitude.json"],
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
-    (tmp_path / "bad-state.json").write_text(json.dumps(
-        {"explicit": {"state": 5, "measurements": [[0.0, 0.0]] * 6}}))
+    for name, payload in PROBE_SETTINGS.items():
+        (tmp_path / name).write_text(json.dumps(payload))
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines())
     assert "Traceback" not in err
     assert not (tmp_path / "probe.json").exists() and not (tmp_path / "probe.csv").exists()
+
+
+# Fuzz of the settings-file parser: recursive JSON with keys drawn from the
+# schema, and payloads of the schema's shape with any numbers, NaN and
+# infinities included
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["theta", "ghz"]),
+    lambda inner: st.lists(inner, max_size=8) | st.dictionaries(
+        st.sampled_from(["family", "explicit", "name", "parameters", "theta", "azimuths",
+                         "state", "measurements", "noise_p", "efficiencies"]),
+        inner, max_size=4),
+    max_leaves=20,
+)
+_number = st.floats(-4, 4) | st.floats() | st.integers()
+_pair = st.lists(_number, min_size=2, max_size=2)
+_extras = {"noise_p": _number, "efficiencies": st.lists(_number, min_size=3, max_size=3)}
+_settings = (
+    st.fixed_dictionaries({"family": st.fixed_dictionaries(
+        {"name": st.sampled_from(["theta", "ghz"])},
+        optional={"parameters": st.fixed_dictionaries({}, optional={
+            "theta": _number, "azimuths": st.lists(_number, min_size=6, max_size=6)})},
+    )}, optional=_extras)
+    | st.fixed_dictionaries({"explicit": st.fixed_dictionaries({
+        "state": st.just(_GOOD_STATE) | st.lists(_pair, min_size=8, max_size=8),
+        "measurements": st.lists(_pair, min_size=6, max_size=6),
+    })}, optional=_extras)
+    | _json
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(payload=_settings)
+def test_settings_fuzz_keeps_the_exit_contract(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("fuzz") / "settings.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--settings", str(path), "--json"])
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())

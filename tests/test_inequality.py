@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_behavior
-from tribell.detector import EfficiencyTriple, observe
+from tribell.detector import EfficiencyTriple, observe, observed_probabilities
 from tribell.errors import (
     DegenerateCoefficientsError,
     MarginalInconsistencyError,
@@ -18,14 +18,18 @@ from tribell.errors import (
 from tribell.families import ThetaSetting, ghz_setting, theta_measurements, theta_state
 from tribell.inequality import (
     CORRELATOR_SIGNS,
+    SVETLICHNY_FORM,
+    T2_FORMS,
     SvetlichnyCoefficients,
     critical_third_efficiency,
     efficiencies_admit_violation,
     svetlichny_coefficients,
     svetlichny_corr_value,
     svetlichny_cutoff,
+    svetlichny_statistic,
     t2_cutoff_symmetric,
     t2_statistic,
+    t2_triple_and_pair_sums,
     t2_value,
     theta_violation_threshold,
 )
@@ -301,3 +305,48 @@ class TestT2StatisticReadings:
         with pytest.raises(MarginalInconsistencyError):
             t2_statistic(stack, pair_reading="checked")
         t2_statistic(stack, pair_reading="pessimistic")
+
+
+def loss_polynomial(form: np.ndarray, probs: np.ndarray, etas) -> float:
+    """Observed value of ``form`` (party subset x 64 entries) under the loss
+    channel: each subset's row scaled by its parties' efficiencies.  Subset
+    bit 4 is party a, 2 is b and 1 is c."""
+    weights = [
+        np.prod([eta for eta, bit in zip(etas, (4, 2, 1)) if subset & bit])
+        for subset in range(8)
+    ]
+    return float(np.dot(weights, form @ probs.reshape(64)))
+
+
+class TestLossPolynomial:
+    """No-clicks recorded as outcome 1 scale every all-zero probability of a
+    party subset by the product of its parties' efficiencies, so observed
+    statistics are polynomials in the efficiencies with the ideal rows as
+    coefficients."""
+
+    @pytest.mark.parametrize("etas", [(0.9, 0.9, 0.9), (0.62, 0.62, 0.62),
+                                      (1.0, 0.83, 0.61), (0.3, 0.95, 0.7)])
+    def test_observed_statistics_are_the_loss_polynomial(self, rng, etas):
+        for i in range(20):
+            probs = random_behavior(rng, mixed=bool(i % 2)).probs
+            observed = observed_probabilities(probs, etas)
+            assert svetlichny_statistic(observed) == pytest.approx(
+                loss_polynomial(SVETLICHNY_FORM, probs, etas), abs=1e-12)
+            readings = [loss_polynomial(T2_FORMS[r], probs, etas) for r in range(8)]
+            for reading, expected in (("checked", readings[0]), ("setting0", readings[0]),
+                                      ("setting1", readings[7]), ("pessimistic", min(readings))):
+                assert t2_statistic(observed, pair_reading=reading) == pytest.approx(
+                    expected, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.62])
+    def test_symmetric_polynomials_have_the_cutoff_coefficients(self, rng, eta):
+        # S - 4 = 4 eta (alpha eta^2 + beta eta - gamma) and T2 = eta^3 T - eta^2 Q
+        for i in range(20):
+            tensor = random_behavior(rng, mixed=bool(i % 2))
+            observed = observed_probabilities(tensor.probs, (eta,) * 3)
+            c = svetlichny_coefficients(tensor)
+            assert svetlichny_statistic(observed) - 4.0 == pytest.approx(
+                4.0 * eta * (c.alpha * eta**2 + c.beta * eta - c.gamma), abs=1e-12)
+            triple, pair = t2_triple_and_pair_sums(tensor)
+            assert t2_statistic(observed) == pytest.approx(
+                eta**3 * triple - eta**2 * pair, abs=1e-12)

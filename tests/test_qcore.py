@@ -30,6 +30,16 @@ class TestPureState:
         with pytest.raises(NormalizationError):
             PureState(np.ones(8, dtype=complex))
 
+    def test_rejects_nan_amplitude(self):
+        amp = np.zeros(8, dtype=complex)
+        amp[0], amp[7] = np.nan, 1.0
+        with pytest.raises(NormalizationError):
+            PureState(amp)
+        from tribell.qcore import DensityMatrix
+
+        with pytest.raises(NormalizationError):
+            DensityMatrix(np.outer(amp, amp.conj()))
+
     def test_rejects_small_norm_error(self):
         amp = np.zeros(8, dtype=complex)
         amp[0] = 1.0 + 1e-6
@@ -180,6 +190,16 @@ class TestBehaviorTensor:
     def test_rejects_bad_normalization(self):
         with pytest.raises(NormalizationError):
             BehaviorTensor(np.full((2,) * 6, 0.2))
+
+    def test_rejects_nan_entry(self):
+        # every comparison with NaN is False, so each check must be one
+        # that NaN fails
+        probs = np.full((2,) * 6, 0.125)
+        probs[0, 0, 0, 1, 0, 1] = np.nan
+        with pytest.raises(NormalizationError):
+            BehaviorTensor(probs)
+        with pytest.raises(NormalizationError):
+            validated_probabilities(np.stack([np.full((2,) * 6, 0.125), probs]))
 
     def test_stack_validated_per_tensor(self):
         stack = np.full((3,) + (2,) * 6, 0.125)

@@ -7,7 +7,12 @@ from tribell import search
 from tribell.detector import EfficiencyTriple, observe
 from tribell.errors import SearchFailureError
 from tribell.families import NoiseLevel, ThetaSetting, ghz_setting, theta_measurements, theta_state
-from tribell.inequality import t2_value
+from tribell.inequality import (
+    svetlichny_coefficients,
+    svetlichny_cutoff,
+    t2_cutoff_symmetric,
+    t2_value,
+)
 from tribell.qcore import behavior_from_settings, density_from_pure
 from tribell.search import (
     SearchConfig,
@@ -20,6 +25,20 @@ from tribell.search import (
 
 # oracle values from the independent dense-matrix path
 NOISY_CROSSING_0885_002 = 0.9465059183762572
+
+# settings whose correlator cutoff quadratic opens downward (alpha near
+# -0.02, margin alpha + beta - gamma near 0.28), found by a local search for
+# a negative alpha at positive margin
+ALPHA_NEGATIVE_SETTINGS = [
+    0.341, 0.763, 0.323, -1.148, 0.864, 0.314, -0.507, 0.578, 0.538, 0.232, 0.023, 0.511,
+    -0.979, -0.178, -0.527, 0.883, 0.438, 1.701, 1.396, 6.004, 0.65, 6.393, 0.912, 3.16,
+    2.767, 2.143, 1.2, 1.548,
+]
+
+
+def tensor_of(vec):
+    params = SettingsParameterization.from_vector(vec)
+    return behavior_from_settings(density_from_pure(params.to_state()), params.to_settings())
 
 
 class TestSettingsParameterization:
@@ -39,6 +58,26 @@ class TestSettingsParameterization:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SettingsParameterization(np.zeros(15), np.zeros(12))
+
+
+class TestObjectives:
+    """The search objectives read the same cutoffs as the public path."""
+
+    def test_svetlichny_objective_on_both_branches(self):
+        ghz = SettingsParameterization.from_quantum(*ghz_setting()).as_vector()
+        for vec, alpha_positive in ((ghz, True), (np.array(ALPHA_NEGATIVE_SETTINGS), False)):
+            coefficients = svetlichny_coefficients(tensor_of(vec))
+            assert (coefficients.alpha > 0) == alpha_positive
+            assert search._svetlichny_objective(vec, 1.0) == pytest.approx(
+                svetlichny_cutoff(coefficients), abs=1e-12)
+
+    def test_t2_objective(self):
+        for theta in (0.2, 0.6, 0.9):
+            setting = ThetaSetting(theta)
+            vec = SettingsParameterization.from_quantum(
+                theta_state(setting), theta_measurements(setting)).as_vector()
+            assert search._t2_objective(vec, 1.0) == pytest.approx(
+                t2_cutoff_symmetric(tensor_of(vec)), abs=1e-12)
 
 
 class TestSearchConfig:
