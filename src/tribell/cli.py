@@ -51,7 +51,6 @@ from .polytope import classical_max, enumerate_svetlichny_vertices, enumerate_t2
 from .qcore import (
     BehaviorTensor,
     PureState,
-    QubitMeasurement,
     SettingsTriple,
     behavior_from_settings,
     density_from_pure,
@@ -106,6 +105,15 @@ def _finite(value) -> float:
     return number
 
 
+def _pairs(raw, count: int, what: str, pair: str) -> np.ndarray:
+    """``count`` JSON lists of two numbers, as a (count, 2) float array."""
+    _require(isinstance(raw, list) and len(raw) == count,
+             f"explicit {what} must list {count} {pair} pairs")
+    for i, entry in enumerate(raw):
+        _require(isinstance(entry, list) and len(entry) == 2, f"{what} entry {i} must be {pair}")
+    return np.array([[_finite(entry[0]), _finite(entry[1])] for entry in raw])
+
+
 @contextmanager
 def _usage_errors(context: str):
     """Report a malformed value met while building inputs as a usage error.
@@ -157,20 +165,10 @@ def _parse_settings_payload(payload: dict) -> SettingsSpec:
         _require(isinstance(exp, dict), "'explicit' must be an object")
         _require(set(exp) == {"state", "measurements"},
                  "'explicit' needs exactly 'state' and 'measurements'")
-        raw_state = exp["state"]
-        _require(len(raw_state) == 8, "explicit state needs 8 [re, im] pairs")
-        amps = []
-        for i, pair in enumerate(raw_state):
-            _require(len(pair) == 2, f"state entry {i} must be [re, im]")
-            amps.append(_finite(pair[0]) + 1j * _finite(pair[1]))
-        state = PureState(np.array(amps))
-        raw_meas = exp["measurements"]
-        _require(len(raw_meas) == 6, "explicit measurements need 6 [polar, azimuth] pairs")
-        ms = []
-        for i, pair in enumerate(raw_meas):
-            _require(len(pair) == 2, f"measurement {i} must be [polar, azimuth]")
-            ms.append(QubitMeasurement(polar=_finite(pair[0]), azimuth=_finite(pair[1])))
-        settings = SettingsTriple(a=(ms[0], ms[1]), b=(ms[2], ms[3]), c=(ms[4], ms[5]))
+        amps = _pairs(exp["state"], 8, "state", "[re, im]")
+        state = PureState(amps[:, 0] + 1j * amps[:, 1])
+        settings = SettingsTriple.from_angles(
+            _pairs(exp["measurements"], 6, "measurements", "[polar, azimuth]"))
 
     noise = None
     if "noise_p" in payload:
@@ -195,14 +193,11 @@ def load_settings(path: str) -> SettingsSpec:
 
 
 def explicit_payload(state: PureState, settings: SettingsTriple) -> dict:
-    measurements = []
-    for party in (settings.a, settings.b, settings.c):
-        for m in party:
-            measurements.append([float(m.polar), float(m.azimuth)])
+    amp = state.amplitudes
     return {
         "explicit": {
-            "state": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-            "measurements": measurements,
+            "state": np.column_stack((amp.real, amp.imag)).tolist(),
+            "measurements": settings.angles().reshape(6, 2).tolist(),
         }
     }
 

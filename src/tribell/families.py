@@ -93,16 +93,10 @@ GHZ_OPTIMAL_AZIMUTHS = (
 def ghz_setting(azimuths=GHZ_OPTIMAL_AZIMUTHS) -> tuple[PureState, SettingsTriple]:
     """GHZ state with equatorial measurements at the six given azimuths,
     ordered (a0, a1, b0, b1, c0, c1)."""
-    az = tuple(float(v) for v in azimuths)
+    az = [float(v) for v in azimuths]
     if len(az) != 6:
         raise ValueError(f"expected 6 azimuths, got {len(az)}")
-    mk = lambda phi: QubitMeasurement(polar=np.pi / 2.0, azimuth=phi)
-    settings = SettingsTriple(
-        a=(mk(az[0]), mk(az[1])),
-        b=(mk(az[2]), mk(az[3])),
-        c=(mk(az[4]), mk(az[5])),
-    )
-    return ghz_state(), settings
+    return ghz_state(), SettingsTriple.from_angles(np.column_stack((np.full(6, np.pi / 2.0), az)))
 
 
 def mix_white_noise(rho: DensityMatrix, p: NoiseLevel) -> DensityMatrix:

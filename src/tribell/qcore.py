@@ -4,6 +4,11 @@ Basis labels follow |abc> with party A the most significant bit, so the
 amplitude index of |abc> is 4a + 2b + c.  Behavior tensors are indexed
 ``probs[a, b, c, x, y, z]`` with outcomes a, b, c and settings x, y, z all
 in {0, 1}.
+
+Measurement settings are 12 angles, (polar, azimuth) per measurement in
+party-major order a0, a1, b0, b1, c0, c1: `SettingsTriple.angles` and
+`SettingsTriple.from_angles` define that layout, and the explicit settings
+JSON and the search coordinates (`search.SettingsParameterization`) use it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.shape != (DIM,):
             raise NormalizationError(f"expected {DIM} amplitudes, got {amp.shape}")
-        norm = np.linalg.norm(amp)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails below
+            norm = np.linalg.norm(amp)
         # negated comparisons, so that a NaN fails them
         if not abs(norm - 1.0) <= NORM_TOL:
             raise NormalizationError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
@@ -95,15 +101,18 @@ class QubitMeasurement:
         return measurement_basis(self.polar, self.azimuth)
 
 
-def measurement_basis(polar: float, azimuth: float) -> np.ndarray:
-    half = 0.5 * polar
-    phase = np.exp(1j * azimuth)
-    return np.array(
-        [
-            [np.cos(half), phase * np.sin(half)],
-            [np.sin(half), -phase * np.cos(half)],
-        ]
-    )
+def measurement_basis(polar, azimuth) -> np.ndarray:
+    """Orthonormal basis (2 outcomes, 2 components) at the given Bloch angles;
+    arrays of angles broadcast together and give shape (..., 2, 2)."""
+    half = 0.5 * np.asarray(polar, dtype=float)
+    phase = np.exp(1j * np.asarray(azimuth, dtype=float))
+    cos, sin = np.cos(half), np.sin(half)
+    basis = np.empty(np.broadcast_shapes(half.shape, phase.shape) + (2, 2), dtype=complex)
+    basis[..., 0, 0] = cos
+    basis[..., 0, 1] = phase * sin
+    basis[..., 1, 0] = sin
+    basis[..., 1, 1] = -phase * cos
+    return basis
 
 
 def projector(m: QubitMeasurement, outcome: int) -> np.ndarray:
@@ -127,12 +136,22 @@ class SettingsTriple:
             if len(party) != 2:
                 raise ValueError("each party needs exactly two measurements")
 
-    def bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-party basis stacks of shape (setting, outcome, component)."""
-        return tuple(
-            np.stack([m.basis() for m in party])
-            for party in (self.a, self.b, self.c)
-        )
+    @classmethod
+    def from_angles(cls, angles) -> "SettingsTriple":
+        """Inverse of `angles`: any array of the 12 angles in that order."""
+        a, b, c = ((QubitMeasurement(*m0), QubitMeasurement(*m1))
+                   for m0, m1 in np.asarray(angles, dtype=float).reshape(3, 2, 2).tolist())
+        return cls(a=a, b=b, c=c)
+
+    def angles(self) -> np.ndarray:
+        """(polar, azimuth) of every measurement, shape (party, setting, 2)."""
+        parties = (self.a, self.b, self.c)
+        return np.array([[[m.polar, m.azimuth] for m in party] for party in parties], dtype=float)
+
+    def bases(self) -> np.ndarray:
+        """Bases (party, setting, outcome, component); unpacks into per-party stacks."""
+        angles = self.angles()
+        return measurement_basis(angles[..., 0], angles[..., 1])
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .inequality import (
 )
 from .qcore import (
     PureState,
-    QubitMeasurement,
     SettingsTriple,
     behavior_from_settings,
     density_from_pure,
@@ -51,9 +50,9 @@ class SettingsParameterization:
     """Flat optimization coordinates: 16 state reals + 12 measurement angles.
 
     ``state_coords`` interleaves real and imaginary parts of the 8
-    amplitudes and is normalized on use.  ``measurement_angles`` holds
-    (polar, azimuth) per measurement in party-major order
-    (a0, a1, b0, b1, c0, c1).
+    amplitudes and is normalized on use.  ``measurement_angles`` is
+    `SettingsTriple.angles` flattened: (polar, azimuth) per measurement in
+    party-major order (a0, a1, b0, b1, c0, c1).
     """
 
     state_coords: np.ndarray
@@ -73,9 +72,7 @@ class SettingsParameterization:
         return PureState.normalized(self.state_coords[0::2] + 1j * self.state_coords[1::2])
 
     def to_settings(self) -> SettingsTriple:
-        ang = self.measurement_angles
-        ms = [QubitMeasurement(polar=ang[2 * i], azimuth=ang[2 * i + 1]) for i in range(6)]
-        return SettingsTriple(a=(ms[0], ms[1]), b=(ms[2], ms[3]), c=(ms[4], ms[5]))
+        return SettingsTriple.from_angles(self.measurement_angles)
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.state_coords, self.measurement_angles])
@@ -88,14 +85,7 @@ class SettingsParameterization:
     @classmethod
     def from_quantum(cls, state: PureState, settings: SettingsTriple) -> "SettingsParameterization":
         amp = state.amplitudes
-        sc = np.empty(16)
-        sc[0::2] = amp.real
-        sc[1::2] = amp.imag
-        angles = []
-        for party in (settings.a, settings.b, settings.c):
-            for m in party:
-                angles += [m.polar, m.azimuth]
-        return cls(sc, np.array(angles))
+        return cls(np.column_stack((amp.real, amp.imag)), settings.angles())
 
 
 @dataclass(frozen=True)
@@ -107,10 +97,13 @@ class SearchConfig:
     penalty_weight: float = 1.0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.convergence_tol <= 0 or self.max_iterations < 1 or self.penalty_weight <= 0:
-            raise ValueError("tolerances, iterations and penalty weight must be positive")
+        if self.restarts < 1 or self.seed < 0:
+            raise ValueError("restarts must be >= 1 and seed >= 0")
+        # negated comparisons, so that a NaN fails them
+        if not (self.max_iterations >= 1 and 0.0 < self.convergence_tol < np.inf
+                and 0.0 < self.penalty_weight < np.inf):
+            raise ValueError("iterations must be positive, tolerance and penalty weight "
+                             "finite and positive")
 
 
 @dataclass(frozen=True)
@@ -138,12 +131,8 @@ def _probs_from_vector(vec: np.ndarray) -> np.ndarray | None:
     if norm < 1e-12:
         return None
     amp = amp / norm
-    ang = vec[16:]
-    bases = tuple(
-        np.stack([measurement_basis(ang[4 * p + 2 * s], ang[4 * p + 2 * s + 1]) for s in range(2)])
-        for p in range(3)
-    )
-    return pure_behavior_probabilities(amp, bases)
+    angles = vec[16:].reshape(3, 2, 2)  # the layout of SettingsTriple.angles
+    return pure_behavior_probabilities(amp, measurement_basis(angles[..., 0], angles[..., 1]))
 
 
 def _svetlichny_objective(vec: np.ndarray, penalty_weight: float) -> float:
@@ -170,13 +159,10 @@ def _t2_objective(vec: np.ndarray, penalty_weight: float) -> float:
 
 
 def _random_start(rng: np.random.Generator) -> np.ndarray:
-    vec = np.empty(28)
-    vec[:16] = rng.normal(size=16)
+    state = rng.normal(size=16)
     polars = rng.uniform(0.0, np.pi, size=6)
     azimuths = rng.uniform(0.0, 2.0 * np.pi, size=6)
-    vec[16::2] = polars
-    vec[17::2] = azimuths
-    return vec
+    return np.concatenate([state, np.column_stack((polars, azimuths)).reshape(-1)])
 
 
 def _local_search(objective, x0: np.ndarray, cfg: SearchConfig) -> tuple[float, np.ndarray]:

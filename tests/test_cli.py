@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_settings, random_state
 from tribell.cli import explicit_payload, main, parse_settings_payload
 from tribell.families import ghz_setting
+from tribell.qcore import PureState
 
 
 def run(capsys, *argv):
@@ -175,6 +177,19 @@ class TestSettingsFiles:
         payload2 = explicit_payload(spec.state, spec.settings)
         assert payload == payload2
 
+    def test_explicit_round_trip_random(self, rng):
+        # the file carries every number exactly; PureState renormalizes what
+        # it reads, which can move an amplitude by one unit in the last place
+        for _ in range(20):
+            state, settings = random_state(rng), random_settings(rng)
+            payload = explicit_payload(state, settings)
+            spec = parse_settings_payload(json.loads(json.dumps(payload)))
+            renormalized = PureState(state.amplitudes)
+            assert spec.state.amplitudes.tobytes() == renormalized.amplitudes.tobytes()
+            assert spec.settings.angles().tobytes() == settings.angles().tobytes()
+            assert explicit_payload(spec.state, spec.settings) == explicit_payload(
+                renormalized, settings)
+
     def test_family_and_explicit_exclusive(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -227,6 +242,10 @@ PROBE_SETTINGS = {
         "azimuths": [float("nan"), 1.0, 0.0, 4.7, 2.3, 3.9]}}},
     "nan-amplitude.json": {"explicit": {"state": [[float("nan"), 0.0]] + _GOOD_STATE[1:],
                                         "measurements": _EQUATORIAL}},
+    "object-measurement.json": {"explicit": {"state": _GOOD_STATE,
+                                             "measurements": [{"0": 1, "1": 2}] + _EQUATORIAL[1:]}},
+    "object-amplitude.json": {"explicit": {"state": [{"0": 1, "1": 0}] + _GOOD_STATE[1:],
+                                           "measurements": _EQUATORIAL}},
 }
 
 MALFORMED = {
@@ -243,6 +262,12 @@ MALFORMED = {
                        "--json"],
     "ghz-azimuth-nan": ["evaluate", "--settings", "{tmp}/nan-azimuth.json", "--json"],
     "amplitude-nan": ["evaluate", "--settings", "{tmp}/nan-amplitude.json"],
+    "measurement-object": ["evaluate", "--settings", "{tmp}/object-measurement.json"],
+    "amplitude-object": ["cde", "--settings", "{tmp}/object-amplitude.json", "--inequality", "t2"],
+    "seed-negative": ["mde", "--inequality", "t2", "--restarts", "1", "--seed", "-1",
+                      "--out", "{tmp}/probe.json"],
+    "penalty-nan": ["mde", "--inequality", "t2", "--restarts", "1", "--penalty-weight", "nan",
+                    "--out", "{tmp}/probe.json"],
 }
 
 

@@ -1,5 +1,7 @@
 """States, measurements, and Born-rule behavior tensors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from tribell.qcore import (
     SettingsTriple,
     behavior_from_settings,
     density_from_pure,
+    measurement_basis,
     no_signaling_deviation,
     projector,
     uniform_behavior,
@@ -39,6 +42,12 @@ class TestPureState:
 
         with pytest.raises(NormalizationError):
             DensityMatrix(np.outer(amp, amp.conj()))
+
+    def test_rejects_overflowing_norm_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationError):
+                PureState(np.full(8, 1e200, dtype=complex))
 
     def test_rejects_small_norm_error(self):
         amp = np.zeros(8, dtype=complex)
@@ -106,6 +115,33 @@ class TestProjector:
     def test_rejects_bad_outcome(self):
         with pytest.raises(ValueError):
             projector(QubitMeasurement(polar=0.0), 2)
+
+
+class TestSettingsLayout:
+    def test_broadcast_basis_equals_scalar_calls(self, rng):
+        angles = np.stack([rng.uniform(0, np.pi, (3, 2)), rng.uniform(0, 2 * np.pi, (3, 2))], -1)
+        stacked = measurement_basis(angles[..., 0], angles[..., 1])
+        assert stacked.shape == (3, 2, 2, 2)
+        for party in range(3):
+            for setting in range(2):
+                single = measurement_basis(*angles[party, setting])
+                assert single.tobytes() == stacked[party, setting].tobytes()
+
+    def test_from_angles_inverts_angles(self, rng):
+        for _ in range(20):
+            settings = random_settings(rng)
+            angles = settings.angles()
+            assert angles.shape == (3, 2, 2)
+            rebuilt = SettingsTriple.from_angles(angles.reshape(-1))
+            assert rebuilt == settings
+            assert rebuilt.bases().tobytes() == settings.bases().tobytes()
+            for party, stack in zip((settings.a, settings.b, settings.c), settings.bases()):
+                for m, basis in zip(party, stack):
+                    assert basis.tobytes() == m.basis().tobytes()
+
+    def test_from_angles_needs_twelve_angles(self):
+        with pytest.raises(ValueError):
+            SettingsTriple.from_angles(np.zeros(10))
 
 
 class TestBehaviorFromSettings:
