@@ -95,8 +95,11 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _finite(value) -> float:
-    """A settings number as a float; NaN, infinities and integers too large
-    for a float are usage errors."""
+    """A settings number as a float.  Only JSON numbers are read: strings
+    and booleans, NaN, infinities and integers too large for a float are
+    usage errors."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError as exc:

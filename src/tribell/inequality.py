@@ -145,8 +145,9 @@ def _require_agreement(differences: np.ndarray, labels, tol: float) -> None:
     """Raise unless every difference of two readings of a marginal is
     within tol; the last axis of ``differences`` runs along ``labels``."""
     gaps = np.abs(differences).reshape(-1)
-    worst = int(np.argmax(gaps))
-    if gaps[worst] > tol:
+    # negated comparison, so that a NaN fails it; an empty stack passes
+    if not gaps.max(initial=0.0) <= tol:
+        worst = int(np.argmax(gaps))
         raise MarginalInconsistencyError(
             f"{labels[worst % len(labels)]} differs across outside settings by {gaps[worst]:.3e}"
         )

@@ -27,7 +27,6 @@ TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 PROB_FLOOR = -1e-12      # entries below this are an error, above are clamped
 SLICE_SUM_TOL = 1e-10
-NO_SIGNALING_TOL = 1e-10
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -169,15 +168,6 @@ class BehaviorTensor:
     def no_signaling_deviation(self) -> float:
         return no_signaling_deviation(self.probs)
 
-    def require_no_signaling(self, tol: float = NO_SIGNALING_TOL) -> None:
-        dev = self.no_signaling_deviation()
-        if dev > tol:
-            from .errors import MarginalInconsistencyError
-
-            raise MarginalInconsistencyError(
-                f"no-signaling deviation {dev:.3e} exceeds tolerance {tol:.0e}"
-            )
-
 
 def validated_probabilities(probs) -> np.ndarray:
     """Check and clip a behavior array, or a stack of them along leading axes.
@@ -189,11 +179,13 @@ def validated_probabilities(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.shape[-6:] != (2,) * 6:
         raise NormalizationError(f"expected trailing shape {(2,)*6}, got {p.shape}")
-    # negated comparisons, so that a NaN fails them
-    if not p.min() >= PROB_FLOOR:
-        raise NormalizationError(f"negative probability {p.min()} below floor {PROB_FLOOR}")
+    # negated comparisons, so that a NaN fails them; the initial values let
+    # an empty stack pass
+    lowest = p.min(initial=np.inf)
+    if not lowest >= PROB_FLOOR:
+        raise NormalizationError(f"negative probability {lowest} below floor {PROB_FLOOR}")
     p = np.clip(p, 0.0, None)
-    deviation = np.max(np.abs(p.sum(axis=(-6, -5, -4)) - 1.0))
+    deviation = np.max(np.abs(p.sum(axis=(-6, -5, -4)) - 1.0), initial=0.0)
     if not deviation <= SLICE_SUM_TOL:
         raise NormalizationError(f"setting slices must sum to 1, max deviation {deviation}")
     return p

@@ -41,7 +41,8 @@ from .qcore import (
 _T2_TRIPLE_FLOOR = 1e-8
 _SVET_MARGIN_FLOOR = 1e-10
 
-_BISECTION_TOL = 1e-9
+# half-width of the sign bracket around each closed-form noise crossing
+_CROSSING_BRACKET = 1e-7
 _FEASIBILITY_MARGIN = 1e-12
 
 
@@ -268,12 +269,14 @@ def _t2_noise_crossings(probs: np.ndarray) -> list[float | None]:
 
     ``probs`` has shape ``(n, 2, 2, 2, 2, 2, 2)``.  Each tensor is validated
     and clipped as a `BehaviorTensor` would be; its crossing is the
-    closed-form ratio of its pair and triple sums, or None when no
+    closed-form ratio r = Q/T of its pair and triple sums, or None when no
     efficiency eta <= 1 gives a strict violation.  Two runtime checks keep
     the closed form honest: the statistic at eta = 1 must not violate on
-    any tensor called infeasible, and one bisection of the observed
-    statistic over [0, 1], run on all feasible tensors at once, must land
-    within 1e-6 of every ratio.  Either failure raises RuntimeError.
+    any tensor called infeasible, and the observed statistic of every
+    feasible tensor, eta^2 (eta T - Q) with its only positive root at r,
+    must be <= 0 at eta = max(r - 1e-7, 0) and > 0 at eta = r + 1e-7 (when
+    that is <= 1).  Both sides of the bracket go through one channel call.
+    Either failure raises RuntimeError.
     """
     probs = validated_probabilities(probs)
     triple, pair = t2_triple_and_pair_sums(probs)
@@ -283,27 +286,25 @@ def _t2_noise_crossings(probs: np.ndarray) -> list[float | None]:
 
     # no strict violation at any eta <= 1 off the feasible set; cheap sanity
     # check at eta = 1
-    if not feasible.all():
-        at_one = t2_statistic(probs[~feasible], pair_reading="checked")
-        if np.any(at_one > 1e-9):
-            raise RuntimeError("closed form says infeasible but eta=1 violates")
+    at_one = t2_statistic(probs[~feasible], pair_reading="checked")
+    if np.any(at_one > 1e-9):
+        raise RuntimeError("closed form says infeasible but eta=1 violates")
 
-    targets = probs[feasible]
-    lo, hi = np.zeros(len(targets)), np.ones(len(targets))
-    while len(targets) and np.max(hi - lo) > _BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        observed = observed_probabilities(targets, np.repeat(mid[:, None], 3, axis=1))
-        violated = t2_statistic(observed, pair_reading="checked") > 0.0
-        hi = np.where(violated, mid, hi)
-        lo = np.where(violated, lo, mid)
-    bisected = 0.5 * (lo + hi)
-    closed_form = ratio[feasible]
-    gap = np.abs(bisected - closed_form)
-    if np.any(gap > 1e-6):
-        worst = int(np.argmax(gap))
+    # lower bracket points first, then the upper points that are <= 1
+    targets, crossings = probs[feasible], ratio[feasible]
+    above = crossings + _CROSSING_BRACKET <= 1.0
+    bracketed = np.concatenate([crossings, crossings[above]])
+    upper = np.arange(len(bracketed)) >= len(crossings)
+    etas = np.where(upper, bracketed + _CROSSING_BRACKET,
+                    np.maximum(bracketed - _CROSSING_BRACKET, 0.0))
+    observed = observed_probabilities(np.concatenate([targets, targets[above]]),
+                                      np.repeat(etas[:, None], 3, axis=1))
+    wrong = (t2_statistic(observed, pair_reading="checked") > 0.0) != upper
+    if wrong.any():
+        worst = int(np.argmax(wrong))
         raise RuntimeError(
-            f"closed-form crossing {closed_form[worst]} and bisection {bisected[worst]} "
-            f"disagree beyond 1e-6"
+            f"closed-form crossing {bracketed[worst]} and the sign of the observed "
+            f"statistic at eta = {etas[worst]} disagree"
         )
     return [float(r) if ok else None for r, ok in zip(ratio, feasible)]
 
@@ -328,9 +329,9 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
     density-matrix route to 1e-12.  Each noise row, every theta at one p,
     is one stack of tensors: it is validated, its crossings Q/T are read in
     closed form, the cells called infeasible are checked not to violate at
-    eta = 1, and one vectorised 30-step bisection of the observed statistic
-    over all feasible cells cross-checks every Q/T.  A disagreement beyond
-    1e-6 raises RuntimeError.
+    eta = 1, and one channel call over all feasible cells checks that the
+    observed statistic changes sign within 1e-7 of every Q/T.  A cell that
+    fails either check raises RuntimeError.
     """
     thetas = sorted(float(t) for t in theta_grid)
     ps = sorted(float(p) for p in p_grid)

@@ -246,6 +246,11 @@ PROBE_SETTINGS = {
                                              "measurements": [{"0": 1, "1": 2}] + _EQUATORIAL[1:]}},
     "object-amplitude.json": {"explicit": {"state": [{"0": 1, "1": 0}] + _GOOD_STATE[1:],
                                            "measurements": _EQUATORIAL}},
+    "string-angle.json": {"explicit": {"state": _GOOD_STATE,
+                                       "measurements": [["1.5707963267948966", 0.0]]
+                                       + _EQUATORIAL[1:]}},
+    "bool-amplitude.json": {"explicit": {"state": [[True, False]] + [[0.0, 0.0]] * 7,
+                                         "measurements": _EQUATORIAL}},
 }
 
 MALFORMED = {
@@ -264,6 +269,8 @@ MALFORMED = {
     "amplitude-nan": ["evaluate", "--settings", "{tmp}/nan-amplitude.json"],
     "measurement-object": ["evaluate", "--settings", "{tmp}/object-measurement.json"],
     "amplitude-object": ["cde", "--settings", "{tmp}/object-amplitude.json", "--inequality", "t2"],
+    "angle-string": ["evaluate", "--settings", "{tmp}/string-angle.json", "--json"],
+    "amplitude-bool": ["evaluate", "--settings", "{tmp}/bool-amplitude.json"],
     "seed-negative": ["mde", "--inequality", "t2", "--restarts", "1", "--seed", "-1",
                       "--out", "{tmp}/probe.json"],
     "penalty-nan": ["mde", "--inequality", "t2", "--restarts", "1", "--penalty-weight", "nan",

@@ -13,6 +13,7 @@ from tribell.detector import EfficiencyTriple, observe, observed_probabilities
 from tribell.errors import (
     DegenerateCoefficientsError,
     MarginalInconsistencyError,
+    NormalizationError,
     NoViolationError,
 )
 from tribell.families import ThetaSetting, ghz_setting, theta_measurements, theta_state
@@ -33,7 +34,12 @@ from tribell.inequality import (
     t2_value,
     theta_violation_threshold,
 )
-from tribell.qcore import BehaviorTensor, behavior_from_settings, density_from_pure
+from tribell.qcore import (
+    BehaviorTensor,
+    behavior_from_settings,
+    density_from_pure,
+    validated_probabilities,
+)
 
 # independent oracle values (dense Kronecker-product Born rule + bisection)
 BT2_AT_PI_6 = 0.007421363202964611
@@ -100,6 +106,20 @@ class TestT2Value:
             probs[0, x, 0, x, :, :] = 1.0
         with pytest.raises(MarginalInconsistencyError):
             t2_value(BehaviorTensor(probs))
+
+    def test_empty_stack_gives_empty_results(self):
+        # a stack along leading axes may hold no tensor; NaN still fails
+        empty = np.empty((0,) + (2,) * 6)
+        assert validated_probabilities(empty).shape == empty.shape
+        assert t2_statistic(empty).shape == (0,)
+        assert [s.shape for s in t2_triple_and_pair_sums(empty)] == [(0,), (0,)]
+        nan = np.full((1,) + (2,) * 6, np.nan)
+        with pytest.raises(NormalizationError):
+            validated_probabilities(nan)
+        with pytest.raises(MarginalInconsistencyError):
+            t2_statistic(nan)
+        with pytest.raises(MarginalInconsistencyError):
+            t2_triple_and_pair_sums(nan)
 
 
 class TestSvetlichnyCorrValue:

@@ -185,3 +185,16 @@ class TestSweep:
         monkeypatch.setattr(search, "observed_probabilities", lambda probs, etas: probs)
         with pytest.raises(RuntimeError, match="disagree"):
             sweep_t2_noise([0.3, 0.6], [0.0, 0.01])
+
+    def test_cross_check_brackets_each_crossing_within_1e7(self, monkeypatch):
+        # a pair sum 5e-7 too large moves each Q/T by about 4e-7: within a
+        # 1e-6 comparison, but outside the sign bracket of +-1e-7
+        sums = search.t2_triple_and_pair_sums
+
+        def shifted(probs):
+            triple, pair = sums(probs)
+            return triple, pair * (1.0 + 5e-7)
+
+        monkeypatch.setattr(search, "t2_triple_and_pair_sums", shifted)
+        with pytest.raises(RuntimeError, match="disagree"):
+            sweep_t2_noise([0.3, 0.6], [0.0, 0.01])
