@@ -22,12 +22,14 @@ import json
 import os
 import sys
 import tempfile
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .detector import EfficiencyTriple, observe
 from .errors import NoViolationError, TribellError
 from .families import (
@@ -240,11 +242,16 @@ def ideal_tensor(spec: SettingsSpec) -> BehaviorTensor:
 # result records and output
 
 def result_record(args, payload: dict, outputs: dict, violated: dict) -> dict:
+    """The ``--json`` record.  Only ``payload`` enters ``input_digest``;
+    ``version``, ``elapsed_s`` (seconds since `main` was entered) and
+    ``timestamp`` describe the run, not its inputs."""
     return {
         "command": " ".join(args._argv),
         "input_digest": settings_digest(payload),
         "outputs": outputs,
         "violated": violated,
+        "version": __version__,
+        "elapsed_s": time.perf_counter() - args._started,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -480,10 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = ["tribell"] + argv
+    args._started = started
     try:
         return args.func(args)
     except SettingsFileError as exc:

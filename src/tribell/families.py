@@ -60,7 +60,10 @@ def theta_state(s: ThetaSetting) -> PureState:
     amp[0b101] = k
     amp[0b110] = k
     amp[0b111] = k * (1.0 - 3.0 * np.cos(s.theta)) / np.sin(s.theta)
-    return PureState(amp)
+    # divided by its computed norm, which for some theta is 1 ulp off 1: at
+    # small theta a 1-ulp change of the amplitudes moves the noise crossing
+    # Q/T by about 1e-12, so the family is pinned to the divided amplitudes
+    return PureState.normalized(amp)
 
 
 def theta_measurements(s: ThetaSetting) -> SettingsTriple:
@@ -75,7 +78,7 @@ def theta_measurements(s: ThetaSetting) -> SettingsTriple:
 def ghz_state() -> PureState:
     amp = np.zeros(8, dtype=complex)
     amp[0b000] = amp[0b111] = 1.0 / np.sqrt(2.0)
-    return PureState(amp)
+    return PureState.normalized(amp)  # the computed norm is 1 - 1 ulp
 
 
 # Azimuths (a0, a1, b0, b1, c0, c1) maximizing the correlator statistic on

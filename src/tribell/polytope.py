@@ -83,6 +83,17 @@ class T2Vertex:
         if self.partition not in PARTITIONS:
             raise ValueError(f"unknown partition {self.partition!r}")
 
+    @property
+    def pair_outputs(self) -> tuple[tuple[tuple[int, int], tuple[int, int]],
+                                    tuple[tuple[int, int], tuple[int, int]]]:
+        """The grouped parties' outcome pairs as in `BilocalVertex`: a
+        time-ordered strategy is the bilocal strategy with this pair table."""
+        (p0, p1), ((f00, f01), (f10, f11)) = self.past_outputs, self.future_outputs
+        if self.past_is_first:  # pair[s1][s2] = (past[s1], future[s2][s1])
+            return ((p0, f00), (p0, f10)), ((p1, f01), (p1, f11))
+        # pair[s1][s2] = (future[s1][s2], past[s2])
+        return ((f00, p0), (f01, p1)), ((f10, p0), (f11, p1))
+
 
 def enumerate_svetlichny_vertices() -> list[BilocalVertex]:
     """All 3 * 2^4 * 2^4 * 2^2 = 3072 bilocal strategies.
@@ -121,35 +132,24 @@ def enumerate_t2_vertices(include_both_orders: bool = False) -> list[T2Vertex]:
     return out
 
 
-def _outcome_table(v: BilocalVertex | T2Vertex) -> np.ndarray:
-    """Outcomes (a, b, c) per setting triple, shape (2, 2, 2, 3)."""
-    first, second, solo = _GROUPING[v.partition]
-    table = np.empty((2, 2, 2, 3), dtype=np.int64)
-    for settings in itertools.product(range(2), repeat=3):
-        s1, s2, ss = settings[first], settings[second], settings[solo]
-        if isinstance(v, BilocalVertex):
-            o1, o2 = v.pair_outputs[s1][s2]
-        else:
-            if v.past_is_first:
-                o1 = v.past_outputs[s1]
-                o2 = v.future_outputs[s2][s1]
-            else:
-                o2 = v.past_outputs[s2]
-                o1 = v.future_outputs[s1][s2]
-        outcome = [0, 0, 0]
-        outcome[first], outcome[second], outcome[solo] = o1, o2, v.solo_outputs[ss]
-        table[settings] = outcome
-    return table
-
-
 def _vertex_matrix(vertices) -> np.ndarray:
     """One int8 row per vertex: its deterministic behavior over the 64
     entries of P(abc|xyz), a 1 at entry 8 * (4a + 2b + c) + (4x + 2y + z)
     for the outcomes a, b, c it gives at each setting triple x, y, z."""
-    matrix = np.zeros((len(vertices), 64), dtype=np.int8)
-    for row, v in zip(matrix, vertices):
-        row[8 * (_outcome_table(v).reshape(8, 3) @ (4, 2, 1)) + np.arange(8)] = 1
-    return matrix
+    pairs = np.array([v.pair_outputs for v in vertices], dtype=np.int8)  # [v, s1, s2, party]
+    solos = np.array([v.solo_outputs for v in vertices], dtype=np.int8)  # [v, s]
+    partitions = np.array([PARTITIONS.index(v.partition) for v in vertices], dtype=np.int8)
+    outcomes = np.empty((len(pairs), 2, 2, 2), dtype=np.int8)           # [v, x, y, z]
+    for code, partition in enumerate(PARTITIONS):
+        first, second, solo = _GROUPING[partition]
+        rows = partitions == code
+        # 4a + 2b + c over the axes (first setting, second setting, solo setting)
+        pair_bits = pairs[rows] @ np.array([4 >> first, 4 >> second], dtype=np.int8)
+        index = pair_bits[..., None] + (4 >> solo) * solos[rows][:, None, None, :]
+        outcomes[rows] = np.moveaxis(index, (1, 2, 3), (1 + first, 1 + second, 1 + solo))
+    # [v, outcome, setting] as a one-hot bool array, read as int8 in place
+    hits = outcomes.reshape(-1, 1, 8) == np.arange(8, dtype=np.int8)[:, None]
+    return hits.view(np.int8).reshape(-1, 64)
 
 
 def vertex_to_behavior(v: BilocalVertex | T2Vertex) -> BehaviorTensor:

@@ -14,6 +14,7 @@ JSON and the search coordinates (`search.SettingsParameterization`) use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .errors import NormalizationError
 DIM = 8
 
 NORM_TOL = 1e-9          # rejection threshold for state normalization
+# a norm this close to 1 is rounding left by an earlier normalization
+UNIT_NORM_ROUNDING = 16 * np.finfo(float).eps
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -50,7 +53,12 @@ class PureState:
         # negated comparisons, so that a NaN fails them
         if not abs(norm - 1.0) <= NORM_TOL:
             raise NormalizationError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", _frozen(amp / norm))
+        # dividing by such a norm again moves last bits back and forth without
+        # bringing it closer to 1, so a state written out and read back would
+        # not be the state that was written
+        if abs(norm - 1.0) > UNIT_NORM_ROUNDING:
+            amp = amp / norm
+        object.__setattr__(self, "amplitudes", _frozen(amp))
 
     @classmethod
     def normalized(cls, vector) -> "PureState":
@@ -239,14 +247,28 @@ def pure_behavior_probabilities(amplitudes: np.ndarray, bases) -> np.ndarray:
     return amp.real**2 + amp.imag**2
 
 
+_BORN_SUBSCRIPTS = "xai,ybj,zck,ijkIJK,xaI,ybJ,zcK->abcxyz"
+
+
+@cache
+def _born_contraction_path() -> tuple:
+    """The contraction order ``optimize=True`` picks for the Born rule's
+    einsum.  It depends only on the operand shapes, which are fixed, so it
+    is searched once instead of on every call."""
+    basis, rho6 = np.empty((2, 2, 2), dtype=complex), np.empty((2,) * 6, dtype=complex)
+    path, _ = np.einsum_path(_BORN_SUBSCRIPTS, basis, basis, basis, rho6, basis, basis, basis,
+                             optimize=True)
+    return tuple(path)
+
+
 def behavior_from_settings(rho: DensityMatrix, settings: SettingsTriple) -> BehaviorTensor:
     """Born-rule behavior P(abc|xyz) = Tr[rho (Pi_a^x ⊗ Pi_b^y ⊗ Pi_c^z)]."""
     ua, ub, uc = settings.bases()
     rho6 = rho.matrix.reshape((2,) * 6)
     probs = np.einsum(
-        "xai,ybj,zck,ijkIJK,xaI,ybJ,zcK->abcxyz",
+        _BORN_SUBSCRIPTS,
         ua.conj(), ub.conj(), uc.conj(), rho6, ua, ub, uc,
-        optimize=True,
+        optimize=_born_contraction_path(),
     ).real
     return BehaviorTensor(probs)
 

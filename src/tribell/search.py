@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detector import observed_probabilities
 from .errors import SearchFailureError
@@ -164,6 +163,14 @@ def _random_start(rng: np.random.Generator) -> np.ndarray:
     polars = rng.uniform(0.0, np.pi, size=6)
     azimuths = rng.uniform(0.0, 2.0 * np.pi, size=6)
     return np.concatenate([state, np.column_stack((polars, azimuths)).reshape(-1)])
+
+
+def minimize(fun, x0, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call: only the MDE
+    search needs an optimizer, so every other command starts on numpy alone."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _local_search(objective, x0: np.ndarray, cfg: SearchConfig) -> tuple[float, np.ndarray]:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tribell
 from conftest import random_settings, random_state
-from tribell.cli import explicit_payload, main, parse_settings_payload
+from tribell.cli import explicit_payload, main, parse_settings_payload, settings_digest
 from tribell.families import ghz_setting
 from tribell.qcore import PureState
 
@@ -335,3 +336,34 @@ def test_settings_fuzz_keeps_the_exit_contract(tmp_path_factory, payload):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+
+
+class TestRunRecord:
+    def test_round_trip_is_a_fixed_point(self):
+        # writing a state, reading it back and writing it again gives the same
+        # bytes and digest: a state is not renormalized by its own rounding
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            payload = explicit_payload(random_state(rng), random_settings(rng))
+            spec = parse_settings_payload(json.loads(json.dumps(payload)))
+            rewritten = explicit_payload(spec.state, spec.settings)
+            assert json.dumps(rewritten) == json.dumps(payload)
+            assert settings_digest(rewritten) == settings_digest(payload)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "verify", "--inequality", "t2", "--json"],
+        ["evaluate", "--theta", "0.4", "--json"],
+        ["cde", "--theta", "0.4", "--inequality", "t2", "--json"],
+    ])
+    def test_version_and_elapsed_time(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        record = json.loads(out)
+        assert code == 0
+        assert record["version"] == tribell.__version__
+        assert isinstance(record["elapsed_s"], float) and 0.0 <= record["elapsed_s"] < 60.0
+
+    def test_digest_covers_the_inputs_only(self, capsys):
+        _, out, _ = run(capsys, "evaluate", "--theta", "0.4", "--json")
+        record = json.loads(out)
+        payload = {"family": {"name": "theta", "parameters": {"theta": 0.4}}}
+        assert record["input_digest"] == settings_digest(payload)

@@ -18,6 +18,7 @@ from tribell.inequality import svetlichny_statistic, t2_statistic
 from tribell.polytope import (
     BilocalVertex,
     T2Vertex,
+    _vertex_matrix,
     classical_max,
     enumerate_svetlichny_vertices,
     enumerate_t2_vertices,
@@ -216,3 +217,36 @@ class TestRestriction:
             max_t2 = np.einsum("abcxyz,vabcxyz->v", functional, t2_tensors).max()
             max_sv = np.einsum("abcxyz,vabcxyz->v", functional, sv_tensors).max()
             assert max_t2 <= max_sv + 1e-12
+
+
+def reference_vertex_row(v) -> np.ndarray:
+    """A vertex's behavior row built one setting triple at a time from its
+    tuples, without the pair tables the vertex matrix reads."""
+    first, second, solo = {"AB|C": (0, 1, 2), "AC|B": (0, 2, 1), "BC|A": (1, 2, 0)}[v.partition]
+    row = np.zeros(64, dtype=np.int8)
+    for x in range(2):
+        for y in range(2):
+            for z in range(2):
+                settings = (x, y, z)
+                s1, s2 = settings[first], settings[second]
+                if isinstance(v, BilocalVertex):
+                    o1, o2 = v.pair_outputs[s1][s2]
+                elif v.past_is_first:
+                    o1, o2 = v.past_outputs[s1], v.future_outputs[s2][s1]
+                else:
+                    o1, o2 = v.future_outputs[s1][s2], v.past_outputs[s2]
+                outcome = [0, 0, 0]
+                outcome[first], outcome[second] = o1, o2
+                outcome[solo] = v.solo_outputs[settings[solo]]
+                a, b, c = outcome
+                row[8 * (4 * a + 2 * b + c) + 4 * x + 2 * y + z] = 1
+    return row
+
+
+def test_vertex_matrix_matches_the_per_vertex_reference(rng):
+    vertices = enumerate_svetlichny_vertices() + enumerate_t2_vertices(include_both_orders=True)
+    order = rng.permutation(len(vertices))  # partitions and vertex types interleaved
+    shuffled = [vertices[i] for i in order]
+    matrix = _vertex_matrix(shuffled)
+    assert matrix.dtype == np.int8
+    np.testing.assert_array_equal(matrix, np.stack([reference_vertex_row(v) for v in shuffled]))

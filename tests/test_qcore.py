@@ -9,6 +9,7 @@ from conftest import random_behavior, random_settings, random_state
 from tribell.errors import NormalizationError
 from tribell.families import ThetaSetting, theta_measurements, theta_state
 from tribell.qcore import (
+    _BORN_SUBSCRIPTS,
     BehaviorTensor,
     PureState,
     QubitMeasurement,
@@ -255,3 +256,15 @@ class TestBehaviorTensor:
         t = uniform_behavior()
         assert t.probs.max() == 0.125
         assert no_signaling_deviation(t.probs) == 0.0
+
+
+def test_born_rule_uses_the_searched_contraction_path(rng):
+    # the cached path must give the bits a fresh optimize=True search gives
+    for _ in range(50):
+        rho = density_from_pure(random_state(rng))
+        settings = random_settings(rng)
+        ua, ub, uc = settings.bases()
+        searched = np.einsum(_BORN_SUBSCRIPTS, ua.conj(), ub.conj(), uc.conj(),
+                             rho.matrix.reshape((2,) * 6), ua, ub, uc, optimize=True).real
+        cached = behavior_from_settings(rho, settings).probs
+        assert cached.tobytes() == validated_probabilities(searched).tobytes()
