@@ -388,14 +388,21 @@ def cmd_mde(args) -> int:
     dump = explicit_payload(result.best_settings.to_state(), result.best_settings.to_settings())
     atomic_write_text(out_path, json.dumps(dump, indent=2, sort_keys=True) + "\n")
     payload = {"inequality": args.inequality, "restarts": args.restarts, "seed": args.seed}
+    values = result.restart_values
+    converged = sum(status != "budget" for status in result.status)
     outputs = {
         "best_eta": result.best_eta,
         "violating_restarts": result.violating_restarts,
         "settings_file": out_path,
+        "restart_values": {"min": min(values), "median": float(np.median(values)),
+                           "max": max(values)},
+        "converged_restarts": converged,
+        "nfev": sum(result.nfev),
     }
     lines = [
         f"best eta = {result.best_eta:.12f} over {args.restarts} restarts "
-        f"({result.violating_restarts} violating)",
+        f"({result.violating_restarts} violating, {converged} converged, "
+        f"{sum(result.nfev)} objective calls)",
         f"best settings written to {out_path}",
     ]
     emit(args, result_record(args, payload, outputs, violated={}), lines)

@@ -119,11 +119,16 @@ def _marginal_checks(marginals):
     return np.array(rows), labels
 
 
+def _rows_by_size(form: np.ndarray) -> np.ndarray:
+    """The sums of a form's 3-, 2- and 1-party rows, shape (3, 64): the
+    coefficients of eta^3, eta^2 and eta in its observed value."""
+    return np.stack([form[_SUBSET_SIZE == k].sum(axis=0) for k in (3, 2, 1)])
+
+
 _correlator = _product(SVETLICHNY_FORM.sum(axis=0))
 # 4 alpha, 4 beta and -4 gamma: the 3-, 2- and 1-party rows
 _cutoff_coefficients = _product(
-    np.stack([SVETLICHNY_FORM[_SUBSET_SIZE == k].sum(axis=0) for k in (3, 2, 1)])
-    * np.array([[0.25], [0.25], [-0.25]]))
+    _rows_by_size(SVETLICHNY_FORM) * np.array([[0.25], [0.25], [-0.25]]))
 # every one- and two-party marginal the correlator form weights must be
 # setting-free: those whose signs do not cancel over the outside settings
 _SVETLICHNY_CHECKS, _SVETLICHNY_LABELS = _marginal_checks(

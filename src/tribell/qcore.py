@@ -8,7 +8,8 @@ in {0, 1}.
 Measurement settings are 12 angles, (polar, azimuth) per measurement in
 party-major order a0, a1, b0, b1, c0, c1: `SettingsTriple.angles` and
 `SettingsTriple.from_angles` define that layout, and the explicit settings
-JSON and the search coordinates (`search.SettingsParameterization`) use it.
+JSON and the search's settings vectors (`search.SettingsParameterization`)
+use it.
 """
 
 from __future__ import annotations

@@ -1,14 +1,18 @@
 """Numerical estimation of minimum detection efficiencies.
 
-Multi-start derivative-free minimization of the cutoff efficiency over all
-pure three-qubit states and projective measurement triples, plus the
-closed-form noise analysis of the one-parameter family and the sweep that
-produces (theta, p, eta_min) tables.
+Multi-start minimization of the cutoff efficiency over all pure three-qubit
+states and projective measurement triples: for fixed measurements the best
+state is the top eigenvector of an 8x8 operator built from the inequality's
+rows, so each restart is a quasi-Newton search over the 12 measurement
+angles alone.  Plus the closed-form noise analysis of the one-parameter
+family and the sweep that produces (theta, p, eta_min) tables.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -16,8 +20,12 @@ from .detector import observed_probabilities
 from .errors import SearchFailureError
 from .families import NoiseLevel, ThetaSetting, mix_white_noise, theta_measurements, theta_state
 from .inequality import (
+    SVETLICHNY_FORM,
+    T2_FORMS,
+    VIOLATION_TOL,
     _cutoff_coefficients,
     _quadratic_root,
+    _rows_by_size,
     _t2_terms,
     svetlichny_coefficients,
     svetlichny_cutoff,
@@ -47,7 +55,7 @@ _FEASIBILITY_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class SettingsParameterization:
-    """Flat optimization coordinates: 16 state reals + 12 measurement angles.
+    """Settings as one flat vector: 16 state reals + 12 measurement angles.
 
     ``state_coords`` interleaves real and imaginary parts of the 8
     amplitudes and is normalized on use.  ``measurement_angles`` is
@@ -90,6 +98,16 @@ class SettingsParameterization:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Multi-start search settings.
+
+    ``max_iterations`` caps the L-BFGS-B iterations of each restart; a
+    restart that stops at the cap is reported with status ``budget`` and
+    does not count toward the result.  ``convergence_tol`` is L-BFGS-B's
+    ``ftol`` and ``gtol``.  ``penalty_weight`` scales the objective where
+    nothing violates at unit efficiency: 1 plus the weight times the top
+    eigenvalue's shortfall.
+    """
+
     restarts: int
     seed: int = 0
     max_iterations: int = 6000
@@ -106,12 +124,33 @@ class SearchConfig:
                              "finite and positive")
 
 
+# restart status by scipy's L-BFGS-B status code: 0 met its convergence
+# test, 1 reached the iteration cap; any other code ended in a line search
+# that found no decrease, which at the optimum of the probability form is
+# the rounding of the cutoff
+_STATUS = {0: "converged", 1: "budget"}
+
+
 @dataclass(frozen=True)
 class SearchResult:
+    """Outcome of a multi-start search.
+
+    ``best_eta`` is the best restart's cutoff, re-verified through the
+    public path.  The other fields have one entry per restart: its value
+    (the fixed-state cutoff of the state and angles it found, >= 1 when they
+    do not violate), objective calls, L-BFGS-B iterations, status
+    (``converged``, ``stalled`` or ``budget``) and wall time in seconds.
+    ``violating_restarts`` counts the restarts within budget that violate.
+    """
+
     best_eta: float
     best_settings: SettingsParameterization
     restart_values: tuple[float, ...]
     violating_restarts: int
+    nfev: tuple[int, ...]
+    nit: tuple[int, ...]
+    status: tuple[str, ...]
+    restart_s: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -122,23 +161,19 @@ class SweepRow:
 
 
 # ---------------------------------------------------------------------------
-# fast objective plumbing (Born tensors are no-signaling, so the marginal
-# checks of the public path are skipped)
+# fixed-state cutoffs of a 28-vector, the certificate of each restart (Born
+# tensors are no-signaling, so the marginal checks of the public path are
+# skipped)
 
-def _probs_from_vector(vec: np.ndarray) -> np.ndarray | None:
+def _probs_from_vector(vec: np.ndarray) -> np.ndarray:
     amp = vec[0:16:2] + 1j * vec[1:16:2]
-    norm = np.linalg.norm(amp)
-    if norm < 1e-12:
-        return None
-    amp = amp / norm
+    amp = amp / np.linalg.norm(amp)
     angles = vec[16:].reshape(3, 2, 2)  # the layout of SettingsTriple.angles
     return pure_behavior_probabilities(amp, measurement_basis(angles[..., 0], angles[..., 1]))
 
 
 def _svetlichny_objective(vec: np.ndarray, penalty_weight: float) -> float:
     probs = _probs_from_vector(vec)
-    if probs is None:
-        return 2.0
     alpha, beta, gamma = _cutoff_coefficients(probs)
     margin = alpha + beta - gamma
     if margin <= _SVET_MARGIN_FLOOR:
@@ -149,8 +184,6 @@ def _svetlichny_objective(vec: np.ndarray, penalty_weight: float) -> float:
 
 def _t2_objective(vec: np.ndarray, penalty_weight: float) -> float:
     probs = _probs_from_vector(vec)
-    if probs is None:
-        return 2.0
     triple, minus_q = _t2_terms(probs)
     pair = -minus_q[0]
     if triple <= _T2_TRIPLE_FLOOR or pair > triple:
@@ -159,10 +192,151 @@ def _t2_objective(vec: np.ndarray, penalty_weight: float) -> float:
 
 
 def _random_start(rng: np.random.Generator) -> np.ndarray:
-    state = rng.normal(size=16)
     polars = rng.uniform(0.0, np.pi, size=6)
     azimuths = rng.uniform(0.0, 2.0 * np.pi, size=6)
-    return np.concatenate([state, np.column_stack((polars, azimuths)).reshape(-1)])
+    return np.column_stack((polars, azimuths)).reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue-reduced objective over the 12 measurement angles
+#
+# The k-party rows of a form, summed, read <psi|A_k|psi> for a Hermitian 8x8
+# operator A_k: each entry P(abc|xyz) is the expectation of a product of the
+# three parties' projectors.  At symmetric efficiency eta the observed form
+# violates iff eta^3 <A_3> + eta^2 <A_2> + eta <A_1> > 0, so some state
+# violates at eta iff lambda_max(eta A_3 + A_2 + A_1 / eta) > 0, and the top
+# eigenvector is the best state for the given measurements (the state step of
+# the see-saw of Pal & Vertesi, PRA 82, 022116 (2010), solved exactly).
+
+# eigenvalues at most this far above 0 do not count as a violation; a floor of
+# 1e-12 drives the probability form to triple sums near 1e-8, where the public
+# path re-verifies the cutoff only to about 2e-9
+_EIGEN_FLOOR = VIOLATION_TOL
+# Newton from eta = 1 meets the floor in 4-8 steps; the cap bounds the
+# bisection fallback
+_NEWTON_STEPS = 60
+
+# entry (outcome o, setting s) of one party reads Pi^s for o = 0 and I - Pi^s
+# for o = 1, over that party's operators (I, Pi^0, Pi^1)
+_OUTCOME_OPERATORS = np.zeros((2, 2, 3))
+_OUTCOME_OPERATORS[0, [0, 1], [1, 2]] = 1.0
+_OUTCOME_OPERATORS[1, :, 0] = 1.0
+_OUTCOME_OPERATORS[1, [0, 1], [1, 2]] = -1.0
+
+
+@cache
+def _operator_coefficients(kind: str) -> np.ndarray:
+    """A_3, A_2, A_1 of one inequality as coefficients over the products of
+    each party's (I, Pi^0, Pi^1), shape (3, 3, 3, 3): the sums of the 3-, 2-
+    and 1-party rows of `SVETLICHNY_FORM`, or of reading 0 of `T2_FORMS`,
+    where A_3 = T, A_2 = -Q and A_1 = 0."""
+    rows = _rows_by_size(SVETLICHNY_FORM if kind == "svetlichny" else T2_FORMS[0])
+    return np.einsum("kabcxyz,axu,byv,czw->kuvw", rows.reshape((3,) + (2,) * 6),
+                     _OUTCOME_OPERATORS, _OUTCOME_OPERATORS, _OUTCOME_OPERATORS)
+
+
+@cache
+def _pauli_products() -> np.ndarray:
+    """Kronecker products of three of (I, X, Y, Z), shape (64, 8, 8)."""
+    sigma = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return np.einsum("iab,jcd,kef->ijkacebdf", sigma, sigma, sigma).reshape(64, 8, 8)
+
+
+def _local_paulis(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each party's (I, Pi^0, Pi^1) in the Pauli basis (I, X, Y, Z), shape
+    (3, 3, 4), where Pi^s = (I + n_s . sigma) / 2 is the outcome-0 projector
+    of `measurement_basis` at setting s; and the derivatives of the Bloch
+    vectors n_s in (polar, azimuth), shape (3, 2, 2, 3)."""
+    sin_p, cos_p = np.sin(angles[..., 0]), np.cos(angles[..., 0])
+    sin_a, cos_a = np.sin(angles[..., 1]), np.cos(angles[..., 1])
+    local = np.zeros((3, 3, 4))
+    local[:, 0, 0] = 1.0
+    local[:, 1:, 0] = 0.5
+    local[:, 1:, 1] = 0.5 * sin_p * cos_a
+    local[:, 1:, 2] = 0.5 * sin_p * sin_a
+    local[:, 1:, 3] = 0.5 * cos_p
+    d_bloch = np.zeros((3, 2, 2, 3))
+    d_bloch[:, :, 0, 0] = cos_p * cos_a
+    d_bloch[:, :, 0, 1] = cos_p * sin_a
+    d_bloch[:, :, 0, 2] = -sin_p
+    d_bloch[:, :, 1, 0] = -sin_p * sin_a
+    d_bloch[:, :, 1, 1] = sin_p * cos_a
+    return local, d_bloch
+
+
+def _row_operators(coefficients: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """A_3, A_2, A_1 as 8x8 matrices, shape (3, 8, 8), from their
+    coefficients and the parties' operators of `_local_paulis`."""
+    a, b, c = local
+    products = (a[:, None, None, :, None, None] * b[None, :, None, None, :, None]
+                * c[None, None, :, None, None, :]).reshape(27, 64)
+    operators = coefficients.reshape(3, 27) @ products @ _pauli_products().reshape(64, 64)
+    return operators.reshape(3, 8, 8)
+
+
+def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
+                  penalty_weight: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Cutoff of the best state for 12 measurement angles, its gradient in
+    the angles, and that state.
+
+    The cutoff is where lambda(eta) = lambda_max(eta A_3 + A_2 + A_1 / eta)
+    falls to `_EIGEN_FLOOR`, left of eta = 1: Newton steps from eta = 1 on
+    eigh alone, kept inside a bracket that falls back to bisection.  Its
+    gradient is -(d lambda / d angles) / (d lambda / d eta), both by
+    Hellmann-Feynman at the top eigenvector.  When lambda(1) is at most the
+    floor nothing violates at eta = 1, and the value is 1 + penalty_weight *
+    (floor - lambda(1)), with its gradient.
+    """
+    local, d_bloch = _local_paulis(np.reshape(angles, (3, 2, 2)))
+    a3, a2, a1 = _row_operators(coefficients, local)
+
+    def top(eta):
+        values, vectors = np.linalg.eigh(eta * a3 + a2 + a1 / eta)
+        return values[-1], vectors[:, -1]
+
+    def slope(eta, state):
+        return float(np.real(state.conj() @ (a3 - a1 / eta**2) @ state))
+
+    # eigh resolves lambda to a few ulp of the norms of the three terms
+    resolution = 16.0 * np.finfo(float).eps * np.linalg.norm([a3, a2, a1], axis=(1, 2))
+    eta, lo, hi = 1.0, 0.0, 1.0
+    lam, state = top(eta)
+    violated = lam > _EIGEN_FLOOR
+    for _ in range(_NEWTON_STEPS if violated else 0):
+        if abs(lam - _EIGEN_FLOOR) <= resolution @ (eta, 1.0, 1.0 / eta):
+            break
+        if lam > _EIGEN_FLOOR:
+            hi = eta
+        else:
+            lo = eta
+        d_eta = slope(eta, state)
+        step = eta - (lam - _EIGEN_FLOOR) / d_eta if d_eta > 0.0 else np.nan
+        eta = step if lo < step < hi else 0.5 * (lo + hi)
+        lam, state = top(eta)
+
+    # d lambda / d (I, Pi^0, Pi^1) of each party: lambda = <state|A|state> is
+    # multilinear in the parties' operators, so each party's derivative
+    # contracts the coefficients with the other two and the state's Pauli
+    # expectations
+    pauli = _pauli_products().reshape(512, 8)
+    expectations = ((pauli @ state).reshape(64, 8) @ state.conj()).real.reshape(4, 4, 4)
+    scaled = eta * coefficients[0] + coefficients[1] + coefficients[2] / eta
+    d_lambda = np.empty((3, 2, 2))
+    for party, order in enumerate(((0, 1, 2), (1, 0, 2), (2, 0, 1))):
+        x, y = local[order[1]], local[order[2]]
+        others = (x[:, None, :, None] * y[None, :, None, :]).reshape(9, 16)
+        d_local = (scaled.transpose(order).reshape(3, 9) @ others
+                   @ expectations.transpose(order).reshape(4, 16).T)
+        # Pi^s = (I + n_s . sigma) / 2, so d lambda / d n_s is half the
+        # derivative along the Pauli coefficients of row 1 + s
+        d_lambda[party] = 0.5 * np.einsum("si,sai->sa", d_local[1:, 1:], d_bloch[party])
+    d_lambda = d_lambda.reshape(-1)
+    if not violated:
+        return 1.0 + penalty_weight * (_EIGEN_FLOOR - lam), -penalty_weight * d_lambda, state
+    # lambda rises through the floor at the cutoff; a flat crossing has no
+    # gradient to offer
+    d_eta = slope(eta, state)
+    return eta, -d_lambda / (d_eta if d_eta > 0.0 else np.inf), state
 
 
 def minimize(fun, x0, **kwargs):
@@ -174,8 +348,9 @@ def minimize(fun, x0, **kwargs):
 
 
 def _local_search(objective, x0: np.ndarray, cfg: SearchConfig) -> tuple[float, np.ndarray]:
-    # Nelder-Mead with one simplex restart from the found point; the
-    # second pass recovers from simplex collapse in 28 dimensions
+    # derivative-free: Nelder-Mead with one simplex restart from the found
+    # point, whose second pass recovers from simplex collapse; the MDE search
+    # has a gradient and uses `_angle_search`
     x = x0
     fun = None
     for _ in range(2):
@@ -207,30 +382,54 @@ def _reverify(vec: np.ndarray, kind: str) -> float:
     return cutoff
 
 
+def _angle_search(kind: str, x0: np.ndarray, cfg: SearchConfig):
+    """One restart: L-BFGS-B over the 12 angles of the eigenvalue-reduced
+    cutoff.  Returns the 28-vector of the top eigenvector and the found
+    angles, and scipy's result."""
+    coefficients = _operator_coefficients(kind)
+    res = minimize(
+        lambda x: _eigen_cutoff(coefficients, x, cfg.penalty_weight)[:2],
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": cfg.max_iterations, "ftol": cfg.convergence_tol,
+                 "gtol": cfg.convergence_tol},
+    )
+    state = _eigen_cutoff(coefficients, res.x, cfg.penalty_weight)[2]
+    return np.concatenate([np.column_stack((state.real, state.imag)).reshape(-1), res.x]), res
+
+
 def _multistart(kind: str, cfg: SearchConfig,
                 initial: SettingsParameterization | None) -> SearchResult:
     objective_fn = _svetlichny_objective if kind == "svetlichny" else _t2_objective
-    objective = lambda v: objective_fn(v, cfg.penalty_weight)
 
-    restart_values = []
+    values, nfev, nit, status, restart_s = [], [], [], [], []
     best_val, best_vec = np.inf, None
     violating = 0
     for i in range(cfg.restarts):
+        start = time.perf_counter()
         if i == 0 and initial is not None:
-            x0 = initial.as_vector()
+            x0 = initial.measurement_angles
         else:
-            rng = np.random.default_rng(cfg.seed + i)
-            x0 = _random_start(rng)
-        val, vec = _local_search(objective, x0, cfg)
-        restart_values.append(val)
-        if val < 1.0:
-            violating += 1
+            x0 = _random_start(np.random.default_rng(cfg.seed + i))
+        vec, res = _angle_search(kind, x0, cfg)
+        # the restart's value is the fixed-state cutoff of what it found
+        val = float(objective_fn(vec, cfg.penalty_weight))
+        values.append(val)
+        nfev.append(int(res.nfev))
+        nit.append(int(res.nit))
+        status.append(_STATUS.get(res.status, "stalled"))
+        restart_s.append(time.perf_counter() - start)
+        if status[-1] == "budget" or not val < 1.0:
+            continue
+        violating += 1
         if val < best_val:
             best_val, best_vec = val, vec
 
     if violating == 0:
         raise SearchFailureError(
-            f"none of {cfg.restarts} restarts found settings violating at unit efficiency"
+            f"none of {cfg.restarts} restarts stopped within its budget at settings "
+            "violating at unit efficiency"
         )
     # no optimizer-state leakage: the reported value is recomputed from the
     # returned settings through the validated evaluation path
@@ -242,8 +441,12 @@ def _multistart(kind: str, cfg: SearchConfig,
     return SearchResult(
         best_eta=float(best_eta),
         best_settings=SettingsParameterization.from_vector(best_vec),
-        restart_values=tuple(restart_values),
+        restart_values=tuple(values),
         violating_restarts=violating,
+        nfev=tuple(nfev),
+        nit=tuple(nit),
+        status=tuple(status),
+        restart_s=tuple(restart_s),
     )
 
 

@@ -133,6 +133,23 @@ class TestMde:
         reverified = json.loads(out2)["outputs"]["cde"]
         assert reverified == pytest.approx(best_eta, abs=1e-9)
 
+    def test_record_reports_restart_diagnostics(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "mde", "--inequality", "t2", "--restarts", "3", "--seed", "5",
+            "--out", str(tmp_path / "best.json"), "--json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        outputs = record["outputs"]
+        values = outputs["restart_values"]
+        assert values["min"] <= values["median"] <= values["max"]
+        assert values["min"] == pytest.approx(outputs["best_eta"], abs=1e-9)
+        assert outputs["converged_restarts"] == 3
+        assert outputs["nfev"] >= 3
+        # the diagnostics describe the run, not its inputs
+        assert record["input_digest"] == settings_digest(
+            {"inequality": "t2", "restarts": 3, "seed": 5})
+
 
 class TestSweep:
     def test_csv_format_and_determinism(self, capsys, tmp_path):
@@ -179,8 +196,9 @@ class TestSettingsFiles:
         assert payload == payload2
 
     def test_explicit_round_trip_random(self, rng):
-        # the file carries every number exactly; PureState renormalizes what
-        # it reads, which can move an amplitude by one unit in the last place
+        # the file carries every number exactly, and PureState keeps
+        # amplitudes whose norm is within rounding of 1, so the state read
+        # back is bit for bit the state written
         for _ in range(20):
             state, settings = random_state(rng), random_settings(rng)
             payload = explicit_payload(state, settings)

@@ -13,7 +13,9 @@ from tribell.inequality import (
     t2_cutoff_symmetric,
     t2_value,
 )
-from tribell.qcore import behavior_from_settings, density_from_pure
+from conftest import random_settings, random_state
+from tribell.inequality import SVETLICHNY_FORM, T2_FORMS
+from tribell.qcore import behavior_from_settings, density_from_pure, pure_behavior_probabilities
 from tribell.search import (
     SearchConfig,
     SettingsParameterization,
@@ -118,6 +120,96 @@ class TestOptimizers:
         cfg = SearchConfig(restarts=1, seed=1, max_iterations=2)
         with pytest.raises(SearchFailureError):
             minimize_t2_cutoff(cfg)
+
+
+def certificate_objective(kind):
+    return search._svetlichny_objective if kind == "svetlichny" else search._t2_objective
+
+
+class TestEigenReduction:
+    """The search's operators, cutoff gradient and per-restart certificate."""
+
+    @pytest.mark.parametrize("kind", ["svetlichny", "t2"])
+    def test_operators_read_the_form_rows(self, rng, kind):
+        # A_k is the sum of the k-party rows; the T2 form is read at reading 0
+        form = SVETLICHNY_FORM if kind == "svetlichny" else T2_FORMS[0]
+        sizes = np.array([bin(subset).count("1") for subset in range(8)])
+        rows = np.stack([form[sizes == k].sum(axis=0) for k in (3, 2, 1)])
+        coefficients = search._operator_coefficients(kind)
+        for _ in range(20):
+            state, settings = random_state(rng), random_settings(rng)
+            local, _ = search._local_paulis(settings.angles())
+            operators = search._row_operators(coefficients, local)
+            amp = state.amplitudes
+            expectations = np.einsum("i,kij,j->k", amp.conj(), operators, amp)
+            probs = pure_behavior_probabilities(amp, settings.bases()).reshape(-1)
+            np.testing.assert_allclose(expectations.real, rows @ probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(expectations.imag, 0.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["svetlichny", "t2"])
+    def test_gradient_matches_central_differences(self, rng, kind):
+        coefficients = search._operator_coefficients(kind)
+
+        def cutoff(angles):
+            return search._eigen_cutoff(coefficients, angles, 1.0)[0]
+
+        checked = 0
+        while checked < 8:
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=12)
+            value, gradient, _ = search._eigen_cutoff(coefficients, angles, 1.0)
+            # Hellmann-Feynman needs a simple top eigenvalue; the probability
+            # form's kernel sits at 0, one floor (1e-9) below it at the cutoff
+            local, _ = search._local_paulis(angles.reshape(3, 2, 2))
+            a3, a2, a1 = search._row_operators(coefficients, local)
+            eta = min(value, 1.0)
+            second, first = np.linalg.eigvalsh(eta * a3 + a2 + a1 / eta)[-2:]
+            if first - second < 1e-10:
+                continue
+            h = 1e-6
+            differences = [(cutoff(angles + step) - cutoff(angles - step)) / (2.0 * h)
+                           for step in h * np.eye(12)]
+            np.testing.assert_allclose(gradient, differences, rtol=0, atol=1e-6)
+            checked += 1
+
+    def test_correlator_seed_0_single_restart(self):
+        # the 28-dimensional Nelder-Mead search found no violation here
+        result = minimize_svetlichny_cutoff(SearchConfig(restarts=1, seed=0))
+        assert result.best_eta <= 0.881
+
+    def test_t2_seed_3_single_restart(self):
+        # the 28-dimensional Nelder-Mead search stopped at 0.8142 here
+        result = minimize_t2_cutoff(SearchConfig(restarts=1, seed=3))
+        assert 0.75 <= result.best_eta <= 0.755
+
+    @pytest.mark.parametrize("kind", ["svetlichny", "t2"])
+    def test_certificate_reverifies_within_1e10(self, kind):
+        cfg = SearchConfig(restarts=1)
+        for seed in range(501, 511):
+            x0 = search._random_start(np.random.default_rng(seed))
+            vec, _ = search._angle_search(kind, x0, cfg)
+            certificate = certificate_objective(kind)(vec, 1.0)
+            assert certificate < 1.0
+            assert abs(search._reverify(vec, kind) - certificate) < 1e-10, seed
+
+    def test_per_restart_diagnostics(self):
+        result = minimize_t2_cutoff(SearchConfig(restarts=3, seed=11))
+        for field in (result.restart_values, result.nfev, result.nit, result.status,
+                      result.restart_s):
+            assert len(field) == 3
+        assert set(result.status) <= {"converged", "stalled"}
+        assert result.violating_restarts == 3
+        assert all(n >= 1 for n in result.nfev)
+        assert all(t > 0.0 for t in result.restart_s)
+
+    def test_budget_restarts_do_not_count(self):
+        # from the GHZ angles the correlator search converges within 5
+        # iterations; from a random start it does not
+        init = SettingsParameterization.from_quantum(*ghz_setting())
+        result = minimize_svetlichny_cutoff(
+            SearchConfig(restarts=2, seed=0, max_iterations=5), initial=init)
+        assert result.status == ("converged", "budget")
+        assert result.violating_restarts == 1
+        assert result.best_eta == pytest.approx(result.restart_values[0], abs=1e-9)
 
 
 class TestNoisyMinEfficiency:
