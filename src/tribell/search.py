@@ -3,9 +3,10 @@
 Multi-start minimization of the cutoff efficiency over all pure three-qubit
 states and projective measurement triples: for fixed measurements the best
 state is the top eigenvector of an 8x8 operator built from the inequality's
-rows, so each restart is a quasi-Newton search over the 12 measurement
-angles alone.  Plus the closed-form noise analysis of the one-parameter
-family and the sweep that produces (theta, p, eta_min) tables.
+rows, so each restart is a quasi-Newton search (`minimize`, a numpy BFGS)
+over the 12 measurement angles alone.  Plus the closed-form noise analysis
+of the one-parameter family and the sweep that produces (theta, p, eta_min)
+tables.
 """
 
 from __future__ import annotations
@@ -100,12 +101,13 @@ class SettingsParameterization:
 class SearchConfig:
     """Multi-start search settings.
 
-    ``max_iterations`` caps the L-BFGS-B iterations of each restart; a
+    ``max_iterations`` caps the BFGS iterations of each restart; a
     restart that stops at the cap is reported with status ``budget`` and
-    does not count toward the result.  ``convergence_tol`` is L-BFGS-B's
-    ``ftol`` and ``gtol``.  ``penalty_weight`` scales the objective where
-    nothing violates at unit efficiency: 1 plus the weight times the top
-    eigenvalue's shortfall.
+    does not count toward the result.  ``convergence_tol`` bounds both of
+    `minimize`'s convergence tests, on max|gradient| and on the relative
+    decrease of one iteration.  ``penalty_weight`` scales the objective
+    where nothing violates at unit efficiency: 1 plus the weight times the
+    top eigenvalue's shortfall.
     """
 
     restarts: int
@@ -124,13 +126,6 @@ class SearchConfig:
                              "finite and positive")
 
 
-# restart status by scipy's L-BFGS-B status code: 0 met its convergence
-# test, 1 reached the iteration cap; any other code ended in a line search
-# that found no decrease, which at the optimum of the probability form is
-# the rounding of the cutoff
-_STATUS = {0: "converged", 1: "budget"}
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a multi-start search.
@@ -138,8 +133,9 @@ class SearchResult:
     ``best_eta`` is the best restart's cutoff, re-verified through the
     public path.  The other fields have one entry per restart: its value
     (the fixed-state cutoff of the state and angles it found, >= 1 when they
-    do not violate), objective calls, L-BFGS-B iterations, status
-    (``converged``, ``stalled`` or ``budget``) and wall time in seconds.
+    do not violate), objective calls, BFGS iterations, the status of
+    `minimize` (``converged``, ``stalled`` or ``budget``) and wall time in
+    seconds.
     ``violating_restarts`` counts the restarts within budget that violate.
     """
 
@@ -339,35 +335,67 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
     return eta, -d_lambda / (d_eta if d_eta > 0.0 else np.inf), state
 
 
-def minimize(fun, x0, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call: only the MDE
-    search needs an optimizer, so every other command starts on numpy alone."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True)
+class LocalMinimum:
+    """Where `minimize` stopped: the point, its value, objective calls,
+    iterations and status (``converged``, ``stalled`` or ``budget``)."""
 
-    return scipy_minimize(fun, x0, **kwargs)
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    status: str
 
 
-def _local_search(objective, x0: np.ndarray, cfg: SearchConfig) -> tuple[float, np.ndarray]:
-    # derivative-free: Nelder-Mead with one simplex restart from the found
-    # point, whose second pass recovers from simplex collapse; the MDE search
-    # has a gradient and uses `_angle_search`
-    x = x0
-    fun = None
-    for _ in range(2):
-        res = minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iterations,
-                "maxfev": cfg.max_iterations,
-                "xatol": 1e-10,
-                "fatol": cfg.convergence_tol,
-                "adaptive": True,
-            },
-        )
-        x, fun = res.x, float(res.fun)
-    return fun, x
+# Armijo's sufficient-decrease fraction, and the objective calls after which
+# a line search counts as finding no decrease (L-BFGS-B's default maxls):
+# the unit step and 19 halvings
+_ARMIJO = 1e-4
+_LINE_SEARCH_CALLS = 20
+
+
+def minimize(fun, x0, *, max_iterations: int, tol: float) -> LocalMinimum:
+    """BFGS with a dense inverse Hessian and Armijo backtracking from the
+    unit step, for ``fun(x) -> (value, gradient)``.
+
+    The inverse Hessian starts as the identity, is scaled by s.y / y.y
+    before its first update, and skips every update whose s.y is not
+    positive.  The stopping tests are L-BFGS-B's: ``converged`` when max|g|
+    <= tol, or when an iteration lowers the value by at most tol times
+    max(|f_old|, |f_new|, 1); ``stalled`` when backtracking finds no
+    decrease (at the optimum of the probability form, the rounding of the
+    cutoff); ``budget`` after ``max_iterations`` iterations.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev, inverse = 1, None
+    if np.max(np.abs(g)) <= tol:
+        return LocalMinimum(x, f, nfev, 0, "converged")
+    for nit in range(1, max_iterations + 1):
+        step = -g if inverse is None else -(inverse @ g)
+        slope = g @ step
+        for halving in range(_LINE_SEARCH_CALLS):
+            t = 0.5**halving
+            x_new = x + t * step
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if f_new <= f + _ARMIJO * t * slope:
+                break
+        else:
+            return LocalMinimum(x, f, nfev, nit - 1, "stalled")
+        if (np.max(np.abs(g_new)) <= tol
+                or f - f_new <= tol * max(abs(f), abs(f_new), 1.0)):
+            return LocalMinimum(x_new, f_new, nfev, nit, "converged")
+        s, y = x_new - x, g_new - g
+        x, f, g = x_new, f_new, g_new
+        sy = s @ y
+        if sy > 0.0:
+            if inverse is None:
+                inverse = (sy / (y @ y)) * np.eye(len(x))
+            hy = inverse @ y
+            inverse += (((sy + y @ hy) / sy) * np.outer(s, s)
+                        - np.outer(hy, s) - np.outer(s, hy)) / sy
+    return LocalMinimum(x, f, nfev, max_iterations, "budget")
 
 
 def _reverify(vec: np.ndarray, kind: str) -> float:
@@ -382,19 +410,14 @@ def _reverify(vec: np.ndarray, kind: str) -> float:
     return cutoff
 
 
-def _angle_search(kind: str, x0: np.ndarray, cfg: SearchConfig):
-    """One restart: L-BFGS-B over the 12 angles of the eigenvalue-reduced
+def _angle_search(kind: str, x0: np.ndarray,
+                  cfg: SearchConfig) -> tuple[np.ndarray, LocalMinimum]:
+    """One restart: `minimize` over the 12 angles of the eigenvalue-reduced
     cutoff.  Returns the 28-vector of the top eigenvector and the found
-    angles, and scipy's result."""
+    angles, and where `minimize` stopped."""
     coefficients = _operator_coefficients(kind)
-    res = minimize(
-        lambda x: _eigen_cutoff(coefficients, x, cfg.penalty_weight)[:2],
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": cfg.max_iterations, "ftol": cfg.convergence_tol,
-                 "gtol": cfg.convergence_tol},
-    )
+    res = minimize(lambda x: _eigen_cutoff(coefficients, x, cfg.penalty_weight)[:2], x0,
+                   max_iterations=cfg.max_iterations, tol=cfg.convergence_tol)
     state = _eigen_cutoff(coefficients, res.x, cfg.penalty_weight)[2]
     return np.concatenate([np.column_stack((state.real, state.imag)).reshape(-1), res.x]), res
 
@@ -416,9 +439,9 @@ def _multistart(kind: str, cfg: SearchConfig,
         # the restart's value is the fixed-state cutoff of what it found
         val = float(objective_fn(vec, cfg.penalty_weight))
         values.append(val)
-        nfev.append(int(res.nfev))
-        nit.append(int(res.nit))
-        status.append(_STATUS.get(res.status, "stalled"))
+        nfev.append(res.nfev)
+        nit.append(res.nit)
+        status.append(res.status)
         restart_s.append(time.perf_counter() - start)
         if status[-1] == "budget" or not val < 1.0:
             continue

@@ -1,4 +1,4 @@
-"""Cold start: scipy is imported by the MDE search alone.
+"""Cold start: no command imports scipy.
 
 Each check runs in a fresh interpreter, because this test process may
 already have scipy loaded.
@@ -9,10 +9,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
-
-from tribell import search
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,26 +59,10 @@ def test_commands_without_an_optimizer_leave_scipy_out(tmp_path):
     assert results == [[0, False]] * 5 + [[2, False]] * 3
 
 
-def test_mde_loads_scipy(tmp_path):
+def test_mde_leaves_scipy_out(tmp_path):
     results = run_commands(
         tmp_path,
         ["mde", "--inequality", "t2", "--restarts", "1", "--max-iterations", "1500",
          "--out", "mde.json"],
     )
-    assert results == [[0, True]]
-
-
-def test_local_search_calls_the_module_level_minimize(monkeypatch):
-    # the benchmark's spans wrap search.minimize by name to count objective calls
-    original = search.minimize
-    calls = []
-
-    def counted(fun, x0, **kwargs):
-        calls.append(kwargs["method"])
-        return original(fun, x0, **kwargs)
-
-    monkeypatch.setattr(search, "minimize", counted)
-    cfg = search.SearchConfig(restarts=1, max_iterations=5)
-    fun, x = search._local_search(lambda v: float(v @ v), np.ones(3), cfg)
-    assert calls == ["Nelder-Mead", "Nelder-Mead"]
-    assert fun == float(x @ x)
+    assert results == [[0, False]]

@@ -90,6 +90,74 @@ class TestSearchConfig:
             SearchConfig(restarts=1, convergence_tol=0.0)
 
 
+def quadratic_12d():
+    # a convex quadratic with condition number 1e3 and minimizer (1, 2, ..., 12)
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    hessian = basis @ np.diag(np.logspace(0.0, 3.0, 12)) @ basis.T
+    minimizer = np.arange(1.0, 13.0)
+
+    def fun(x):
+        d = x - minimizer
+        return 0.5 * d @ hessian @ d, hessian @ d
+
+    return fun, minimizer
+
+
+def rosenbrock(x):
+    a, b = x
+    value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+    return value, np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
+
+
+class TestMinimize:
+    """The numpy BFGS behind each restart, on objectives with known minima."""
+
+    def test_convex_quadratic(self):
+        fun, minimizer = quadratic_12d()
+        res = search.minimize(fun, np.zeros(12), max_iterations=500, tol=1e-12)
+        assert res.status == "converged"
+        np.testing.assert_allclose(res.x, minimizer, rtol=0, atol=1e-6)
+        assert res.fun == pytest.approx(0.0, abs=1e-12)
+
+    def test_rosenbrock(self):
+        res = search.minimize(rosenbrock, np.array([-1.2, 1.0]), max_iterations=500, tol=1e-12)
+        assert res.status != "budget"
+        np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=0, atol=1e-6)
+
+    def test_budget_at_the_iteration_cap(self):
+        res = search.minimize(rosenbrock, np.array([-1.2, 1.0]), max_iterations=3, tol=1e-12)
+        assert res.status == "budget"
+        assert res.nit == 3
+
+    def test_stalled_when_the_gradient_points_uphill(self):
+        def uphill(x):
+            return x @ x, -2.0 * x
+
+        res = search.minimize(uphill, np.ones(12), max_iterations=100, tol=1e-12)
+        assert res.status == "stalled"
+        np.testing.assert_array_equal(res.x, np.ones(12))
+        assert res.fun == 12.0
+
+    def test_nfev_counts_every_objective_call(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return rosenbrock(x)
+
+        res = search.minimize(counted, np.array([-1.2, 1.0]), max_iterations=500, tol=1e-12)
+        assert res.nfev == len(calls)
+        assert res.nfev > res.nit
+
+    def test_deterministic(self):
+        fun, _ = quadratic_12d()
+        a = search.minimize(fun, np.zeros(12), max_iterations=500, tol=1e-12)
+        b = search.minimize(fun, np.zeros(12), max_iterations=500, tol=1e-12)
+        np.testing.assert_array_equal(a.x, b.x)
+        assert (a.fun, a.nfev, a.nit, a.status) == (b.fun, b.nfev, b.nit, b.status)
+
+
 class TestOptimizers:
     def test_svetlichny_determinism(self):
         cfg = SearchConfig(restarts=2, seed=42, max_iterations=1500)
@@ -180,6 +248,34 @@ class TestEigenReduction:
         # the 28-dimensional Nelder-Mead search stopped at 0.8142 here
         result = minimize_t2_cutoff(SearchConfig(restarts=1, seed=3))
         assert 0.75 <= result.best_eta <= 0.755
+
+    @pytest.mark.parametrize("kind", ["svetlichny", "t2"])
+    def test_single_restarts_reach_the_optimum(self, kind):
+        search_fn = minimize_svetlichny_cutoff if kind == "svetlichny" else minimize_t2_cutoff
+        for seed in range(40):
+            eta = search_fn(SearchConfig(restarts=1, seed=seed)).best_eta
+            if kind == "svetlichny":
+                assert eta <= 0.881, seed
+            else:
+                assert 0.75 <= eta <= 0.755, seed
+
+    def test_restarts_go_through_the_module_level_minimize(self, monkeypatch):
+        # the benchmark's spans wrap search.minimize by name and count the
+        # objective calls it makes
+        original = search.minimize
+        calls = []
+
+        def counted_minimize(objective, *args, **kwargs):
+            def counted(x):
+                calls.append(1)
+                return objective(x)
+
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(search, "minimize", counted_minimize)
+        x0 = search._random_start(np.random.default_rng(0))
+        _, res = search._angle_search("t2", x0, SearchConfig(restarts=1))
+        assert len(calls) == res.nfev > 1
 
     @pytest.mark.parametrize("kind", ["svetlichny", "t2"])
     def test_certificate_reverifies_within_1e10(self, kind):
