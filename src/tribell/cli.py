@@ -24,8 +24,8 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class SettingsFileError(TribellError):
     """Settings file fails schema validation."""
 
 
-@dataclass(frozen=True)
-class SettingsSpec:
+class SettingsSpec(NamedTuple):
     """Parsed settings file: quantum setting plus optional noise/efficiencies."""
 
     state: PureState
@@ -409,22 +408,20 @@ def cmd_mde(args) -> int:
     return 0
 
 
-def format_eta(value: float | None) -> str:
-    return "none" if value is None else f"{value:.12f}"
-
-
 def cmd_sweep(args) -> int:
     theta_grid = parse_grid(args.theta_grid, "theta-grid")
     p_grid = parse_grid(args.p_grid, "p-grid")
-    with _usage_errors("invalid --theta-grid"):
-        for theta in theta_grid:
-            ThetaSetting(float(theta))
-    with _usage_errors("invalid --p-grid"):
-        for p in p_grid:
-            NoiseLevel(float(p))
-    rows = sweep_t2_noise(theta_grid, p_grid)
+    with _usage_errors("invalid sweep grid"):
+        rows = sweep_t2_noise(theta_grid, p_grid)
+    # rows run over every theta at each p in turn, so each grid value's
+    # repr is taken once, from its first row
+    n = len(theta_grid)
+    theta_text = [repr(row.theta) for row in rows[:n]]
     lines = ["theta,p,eta_min"]
-    lines += [f"{row.theta!r},{row.p!r},{format_eta(row.eta_min)}" for row in rows]
+    for start in range(0, len(rows), n):
+        p_text = repr(rows[start].p)
+        lines += [f"{theta},{p_text},{'none' if row.eta_min is None else f'{row.eta_min:.12f}'}"
+                  for theta, row in zip(theta_text, rows[start:start + n])]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     feasible = [row.p for row in rows if row.eta_min is not None]
     outputs = {

@@ -10,25 +10,21 @@ outcome 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qcore import BehaviorTensor
 
 
-@dataclass(frozen=True)
 class EfficiencyTriple:
     """Detector efficiencies (eta_a, eta_b, eta_c), each in [0, 1]."""
 
-    eta_a: float
-    eta_b: float
-    eta_c: float
+    __slots__ = ("eta_a", "eta_b", "eta_c")
 
-    def __post_init__(self):
-        for name, eta in zip(("eta_a", "eta_b", "eta_c"), self.as_tuple()):
+    def __init__(self, eta_a: float, eta_b: float, eta_c: float):
+        for name, eta in zip(("eta_a", "eta_b", "eta_c"), (eta_a, eta_b, eta_c)):
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"{name} = {eta} is outside [0, 1]")
+        self.eta_a, self.eta_b, self.eta_c = eta_a, eta_b, eta_c
 
     @classmethod
     def symmetric(cls, eta: float) -> "EfficiencyTriple":

@@ -3,8 +3,6 @@ equatorial measurements, and white-noise mixing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qcore import (
@@ -17,7 +15,6 @@ from .qcore import (
 SIN_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
 class ThetaSetting:
     """Parameter of the one-parameter state-and-measurement family.
 
@@ -26,13 +23,14 @@ class ThetaSetting:
     only possible for theta below pi/3, where tan^2(theta/2) < 1/3.
     """
 
-    theta: float
+    __slots__ = ("theta",)
 
-    def __post_init__(self):
-        if not 0.0 < self.theta < np.pi:
-            raise ValueError(f"theta = {self.theta} must lie in (0, pi)")
-        if np.sin(self.theta) < SIN_FLOOR:
-            raise ValueError(f"sin(theta) = {np.sin(self.theta)} below floor {SIN_FLOOR}")
+    def __init__(self, theta: float):
+        if not 0.0 < theta < np.pi:
+            raise ValueError(f"theta = {theta} must lie in (0, pi)")
+        if np.sin(theta) < SIN_FLOOR:
+            raise ValueError(f"sin(theta) = {np.sin(theta)} below floor {SIN_FLOOR}")
+        self.theta = theta
 
     @property
     def normalization(self) -> float:
@@ -41,15 +39,15 @@ class ThetaSetting:
         return float(np.sqrt(s * s / (3.0 * s * s + (1.0 - 3.0 * c) ** 2)))
 
 
-@dataclass(frozen=True)
 class NoiseLevel:
     """White-noise mixing weight p in [0, 1]."""
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p = {self.p} must lie in [0, 1]")
+    def __init__(self, p: float):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p = {p} must lie in [0, 1]")
+        self.p = p
 
 
 def theta_state(s: ThetaSetting) -> PureState:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,13 +158,11 @@ def _require_agreement(differences: np.ndarray, labels, tol: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class InequalityValue:
+class InequalityValue(NamedTuple):
     value: float
     violated: bool
 
 
-@dataclass(frozen=True)
 class SvetlichnyCoefficients:
     """Quadratic coefficients of the observed violation condition.
 
@@ -175,13 +173,12 @@ class SvetlichnyCoefficients:
     probabilities and therefore nonnegative.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
+    __slots__ = ("alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        if self.beta < -1e-9 or self.gamma < -1e-9:
+    def __init__(self, alpha: float, beta: float, gamma: float):
+        if beta < -1e-9 or gamma < -1e-9:
             raise ValueError("beta and gamma must be nonnegative")
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
 
     @property
     def violation_margin(self) -> float:

@@ -29,7 +29,6 @@ the coefficient arrays of `inequality`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,7 @@ _GROUPING = {
     "BC|A": (1, 2, 0),
 }
 
-@dataclass(frozen=True)
+
 class BilocalVertex:
     """Deterministic bilocal strategy.
 
@@ -53,17 +52,18 @@ class BilocalVertex:
     their joint settings; ``solo_outputs[s]`` the solo party's outcome.
     """
 
-    partition: str
-    pair_outputs: tuple[tuple[tuple[int, int], tuple[int, int]],
-                        tuple[tuple[int, int], tuple[int, int]]]
-    solo_outputs: tuple[int, int]
+    __slots__ = ("partition", "pair_outputs", "solo_outputs")
 
-    def __post_init__(self):
-        if self.partition not in PARTITIONS:
-            raise ValueError(f"unknown partition {self.partition!r}")
+    def __init__(self, partition: str,
+                 pair_outputs: tuple[tuple[tuple[int, int], tuple[int, int]],
+                                     tuple[tuple[int, int], tuple[int, int]]],
+                 solo_outputs: tuple[int, int]):
+        if partition not in PARTITIONS:
+            raise ValueError(f"unknown partition {partition!r}")
+        self.partition = partition
+        self.pair_outputs, self.solo_outputs = pair_outputs, solo_outputs
 
 
-@dataclass(frozen=True)
 class T2Vertex:
     """Deterministic one-way-signaling strategy.
 
@@ -73,15 +73,16 @@ class T2Vertex:
     grouped party is in the causal past.
     """
 
-    partition: str
-    past_is_first: bool
-    past_outputs: tuple[int, int]
-    future_outputs: tuple[tuple[int, int], tuple[int, int]]
-    solo_outputs: tuple[int, int]
+    __slots__ = ("partition", "past_is_first", "past_outputs", "future_outputs", "solo_outputs")
 
-    def __post_init__(self):
-        if self.partition not in PARTITIONS:
-            raise ValueError(f"unknown partition {self.partition!r}")
+    def __init__(self, partition: str, past_is_first: bool, past_outputs: tuple[int, int],
+                 future_outputs: tuple[tuple[int, int], tuple[int, int]],
+                 solo_outputs: tuple[int, int]):
+        if partition not in PARTITIONS:
+            raise ValueError(f"unknown partition {partition!r}")
+        self.partition, self.past_is_first = partition, past_is_first
+        self.past_outputs, self.future_outputs = past_outputs, future_outputs
+        self.solo_outputs = solo_outputs
 
     @property
     def pair_outputs(self) -> tuple[tuple[tuple[int, int], tuple[int, int]],

@@ -14,8 +14,8 @@ use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,14 +39,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class PureState:
     """Normalized three-qubit amplitude vector (8 complex entries)."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes):
+        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amp.shape != (DIM,):
             raise NormalizationError(f"expected {DIM} amplitudes, got {amp.shape}")
         with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails below
@@ -59,7 +58,7 @@ class PureState:
         # not be the state that was written
         if abs(norm - 1.0) > UNIT_NORM_ROUNDING:
             amp = amp / norm
-        object.__setattr__(self, "amplitudes", _frozen(amp))
+        self.amplitudes = _frozen(amp)
 
     @classmethod
     def normalized(cls, vector) -> "PureState":
@@ -71,14 +70,13 @@ class PureState:
         return cls(vec / norm)
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """8x8 Hermitian, positive semidefinite, unit-trace operator."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix):
+        mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (DIM, DIM):
             raise NormalizationError(f"expected {DIM}x{DIM} matrix, got {mat.shape}")
         # negated comparisons, so that a NaN fails them before eigvalsh sees it
@@ -88,11 +86,10 @@ class DensityMatrix:
             raise NormalizationError(f"trace {np.trace(mat)} is not 1 within {TRACE_TOL}")
         if np.linalg.eigvalsh(mat).min() < PSD_TOL:
             raise NormalizationError("matrix has an eigenvalue below the PSD tolerance")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        self.matrix = _frozen(mat)
 
 
-@dataclass(frozen=True)
-class QubitMeasurement:
+class QubitMeasurement(NamedTuple):
     """Dichotomic projective qubit measurement.
 
     ``polar`` and ``azimuth`` give the Bloch direction of the outcome-0
@@ -131,18 +128,23 @@ def projector(m: QubitMeasurement, outcome: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@dataclass(frozen=True)
 class SettingsTriple:
     """Two measurements per party, indexed by setting in {0, 1}."""
 
-    a: tuple[QubitMeasurement, QubitMeasurement]
-    b: tuple[QubitMeasurement, QubitMeasurement]
-    c: tuple[QubitMeasurement, QubitMeasurement]
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        for party in (self.a, self.b, self.c):
+    def __init__(self, a: tuple[QubitMeasurement, QubitMeasurement],
+                 b: tuple[QubitMeasurement, QubitMeasurement],
+                 c: tuple[QubitMeasurement, QubitMeasurement]):
+        for party in (a, b, c):
             if len(party) != 2:
                 raise ValueError("each party needs exactly two measurements")
+        self.a, self.b, self.c = a, b, c
+
+    def __eq__(self, other):
+        if not isinstance(other, SettingsTriple):
+            return NotImplemented
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
 
     @classmethod
     def from_angles(cls, angles) -> "SettingsTriple":
@@ -162,17 +164,16 @@ class SettingsTriple:
         return measurement_basis(angles[..., 0], angles[..., 1])
 
 
-@dataclass(frozen=True)
 class BehaviorTensor:
     """Conditional distribution P(abc|xyz), shape (2,)*6, axes (a,b,c,x,y,z)."""
 
-    probs: np.ndarray
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+    def __init__(self, probs):
+        p = np.asarray(probs, dtype=float)
         if p.shape != (2,) * 6:
             raise NormalizationError(f"expected shape {(2,)*6}, got {p.shape}")
-        object.__setattr__(self, "probs", _frozen(validated_probabilities(p)))
+        self.probs = _frozen(validated_probabilities(p))
 
     def no_signaling_deviation(self) -> float:
         return no_signaling_deviation(self.probs)

@@ -12,8 +12,8 @@ tables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ _CROSSING_BRACKET = 1e-7
 _FEASIBILITY_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
 class SettingsParameterization:
     """Settings as one flat vector: 16 state reals + 12 measurement angles.
 
@@ -64,18 +63,16 @@ class SettingsParameterization:
     party-major order (a0, a1, b0, b1, c0, c1).
     """
 
-    state_coords: np.ndarray
-    measurement_angles: np.ndarray
+    __slots__ = ("state_coords", "measurement_angles")
 
-    def __post_init__(self):
-        sc = np.asarray(self.state_coords, dtype=float).reshape(-1)
-        ma = np.asarray(self.measurement_angles, dtype=float).reshape(-1)
+    def __init__(self, state_coords, measurement_angles):
+        sc = np.asarray(state_coords, dtype=float).reshape(-1)
+        ma = np.asarray(measurement_angles, dtype=float).reshape(-1)
         if sc.shape != (16,) or ma.shape != (12,):
             raise ValueError("expected 16 state coordinates and 12 angles")
         sc.setflags(write=False)
         ma.setflags(write=False)
-        object.__setattr__(self, "state_coords", sc)
-        object.__setattr__(self, "measurement_angles", ma)
+        self.state_coords, self.measurement_angles = sc, ma
 
     def to_state(self) -> PureState:
         return PureState.normalized(self.state_coords[0::2] + 1j * self.state_coords[1::2])
@@ -97,7 +94,6 @@ class SettingsParameterization:
         return cls(np.column_stack((amp.real, amp.imag)), settings.angles())
 
 
-@dataclass(frozen=True)
 class SearchConfig:
     """Multi-start search settings.
 
@@ -110,24 +106,22 @@ class SearchConfig:
     top eigenvalue's shortfall.
     """
 
-    restarts: int
-    seed: int = 0
-    max_iterations: int = 6000
-    convergence_tol: float = 1e-12
-    penalty_weight: float = 1.0
+    __slots__ = ("restarts", "seed", "max_iterations", "convergence_tol", "penalty_weight")
 
-    def __post_init__(self):
-        if self.restarts < 1 or self.seed < 0:
+    def __init__(self, restarts: int, seed: int = 0, max_iterations: int = 6000,
+                 convergence_tol: float = 1e-12, penalty_weight: float = 1.0):
+        if restarts < 1 or seed < 0:
             raise ValueError("restarts must be >= 1 and seed >= 0")
         # negated comparisons, so that a NaN fails them
-        if not (self.max_iterations >= 1 and 0.0 < self.convergence_tol < np.inf
-                and 0.0 < self.penalty_weight < np.inf):
+        if not (max_iterations >= 1 and 0.0 < convergence_tol < np.inf
+                and 0.0 < penalty_weight < np.inf):
             raise ValueError("iterations must be positive, tolerance and penalty weight "
                              "finite and positive")
+        self.restarts, self.seed, self.max_iterations = restarts, seed, max_iterations
+        self.convergence_tol, self.penalty_weight = convergence_tol, penalty_weight
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a multi-start search.
 
     ``best_eta`` is the best restart's cutoff, re-verified through the
@@ -149,8 +143,7 @@ class SearchResult:
     restart_s: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     theta: float
     p: float
     eta_min: float | None
@@ -335,8 +328,7 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
     return eta, -d_lambda / (d_eta if d_eta > 0.0 else np.inf), state
 
 
-@dataclass(frozen=True)
-class LocalMinimum:
+class LocalMinimum(NamedTuple):
     """Where `minimize` stopped: the point, its value, objective calls,
     iterations and status (``converged``, ``stalled`` or ``budget``)."""
 
@@ -539,7 +531,7 @@ def _t2_noise_crossings(probs: np.ndarray) -> list[float | None]:
             f"closed-form crossing {bracketed[worst]} and the sign of the observed "
             f"statistic at eta = {etas[worst]} disagree"
         )
-    return [float(r) if ok else None for r, ok in zip(ratio, feasible)]
+    return [r if ok else None for r, ok in zip(ratio.tolist(), feasible.tolist())]
 
 
 def noisy_t2_min_efficiency(theta: ThetaSetting, noise: NoiseLevel) -> float | None:
@@ -557,9 +549,12 @@ def noisy_t2_min_efficiency(theta: ThetaSetting, noise: NoiseLevel) -> float | N
 def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
     """One row per (theta, p) grid point, ordered lexicographically by (p, theta).
 
-    Uses linearity of the Born rule in the state: the noisy tensor equals
-    (1 - p) * ideal + p * uniform, which the family tests pin against the
-    density-matrix route to 1e-12.  Each noise row, every theta at one p,
+    The ideal tensors come from the pure-state Born rule,
+    `qcore.pure_behavior_probabilities`, and by linearity of the Born rule
+    in the state the noisy tensor equals (1 - p) * ideal + p * uniform.  The
+    tests pin the ideal tensors to the density-matrix route within 1e-15,
+    and the crossings to those of `noisy_t2_min_efficiency`, which takes
+    that route, within 1e-12.  Each noise row, every theta at one p,
     is one stack of tensors: it is validated, its crossings Q/T are read in
     closed form, the cells called infeasible are checked not to violate at
     eta = 1, and one channel call over all feasible cells checks that the
@@ -575,7 +570,7 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
         NoiseLevel(p)
 
     ideal = np.stack([
-        behavior_from_settings(density_from_pure(theta_state(s)), theta_measurements(s)).probs
+        pure_behavior_probabilities(theta_state(s).amplitudes, theta_measurements(s).bases())
         for s in settings
     ])
 
@@ -583,5 +578,5 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
     uniform = np.full((2,) * 6, 0.125)
     for p in ps:
         crossings = _t2_noise_crossings((1.0 - p) * ideal + p * uniform)
-        rows += [SweepRow(theta=t, p=p, eta_min=eta) for t, eta in zip(thetas, crossings)]
+        rows += [SweepRow(t, p, eta) for t, eta in zip(thetas, crossings)]
     return rows

@@ -14,6 +14,7 @@ from conftest import random_settings, random_state
 from tribell.cli import explicit_payload, main, parse_settings_payload, settings_digest
 from tribell.families import ghz_setting
 from tribell.qcore import PureState
+from tribell.search import sweep_t2_noise
 
 
 def run(capsys, *argv):
@@ -170,6 +171,18 @@ class TestSweep:
         code, _, _ = run(capsys, *args)
         assert code == 0
         assert out_path.read_bytes() == first
+
+    def test_csv_lines_are_the_rows_reprs(self, capsys, tmp_path):
+        # the reference: every line formatted from its own row
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--theta-grid", "0.05:1.2:7", "--p-grid", "0:0.03:4",
+                         "--out", str(out_path))
+        assert code == 0
+        rows = sweep_t2_noise(np.linspace(0.05, 1.2, 7), np.linspace(0.0, 0.03, 4))
+        want = ["theta,p,eta_min"] + [
+            f"{row.theta!r},{row.p!r},{'none' if row.eta_min is None else f'{row.eta_min:.12f}'}"
+            for row in rows]
+        assert out_path.read_text() == "\n".join(want) + "\n"
 
     def test_rows_sorted_by_p_then_theta(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

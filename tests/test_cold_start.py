@@ -1,7 +1,8 @@
-"""Cold start: no command imports scipy.
+"""Cold start: no command imports scipy, and importing the CLI does not
+import dataclasses, whose classes generate their methods with exec.
 
 Each check runs in a fresh interpreter, because this test process may
-already have scipy loaded.
+already have either module loaded.
 """
 
 import json
@@ -42,6 +43,13 @@ def test_import_leaves_scipy_out(tmp_path):
         loaded = fresh_python(tmp_path, "-c",
                               f"import sys, {module}; print('scipy' in sys.modules)")
         assert loaded == "False", module
+
+
+def test_import_leaves_dataclasses_out(tmp_path):
+    # numpy, argparse, json and hashlib do not load it either
+    loaded = fresh_python(tmp_path, "-c",
+                          "import sys, tribell.cli; print('dataclasses' in sys.modules)")
+    assert loaded == "False"
 
 
 def test_commands_without_an_optimizer_leave_scipy_out(tmp_path):

@@ -60,6 +60,13 @@ class TestEnumeration:
         copying = ((0, 1), (0, 1))
         assert any(v.future_outputs == copying for v in t2_vertices)
 
+    def test_unknown_partition_rejected(self):
+        pair = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="unknown partition"):
+            BilocalVertex("AB|CD", pair, (0, 0))
+        with pytest.raises(ValueError, match="unknown partition"):
+            T2Vertex("A|BC", True, (0, 0), ((0, 0), (0, 0)), (0, 0))
+
 
 class TestVertexBehaviors:
     def test_all_vertices_are_valid_tensors(self, bilocal_vertices, t2_vertices):

@@ -355,6 +355,24 @@ class TestSweep:
             else:
                 assert row.eta_min == pytest.approx(expected, abs=1e-12)
 
+    def test_ideal_tensors_match_the_density_route(self, monkeypatch):
+        # at p = 0 the stack of each noise row is the ideal tensors exactly
+        stacks, real = [], search._t2_noise_crossings
+
+        def recording(probs):
+            stacks.append(probs)
+            return real(probs)
+
+        monkeypatch.setattr(search, "_t2_noise_crossings", recording)
+        thetas = np.linspace(0.01, np.pi / 3, 200)  # the CLI's default grid
+        sweep_t2_noise(thetas, [0.0])
+        (ideal,) = stacks
+        density = np.stack([
+            behavior_from_settings(density_from_pure(theta_state(s)), theta_measurements(s)).probs
+            for s in map(ThetaSetting, thetas)
+        ])
+        assert np.max(np.abs(ideal - density)) <= 1e-15
+
     def test_noiseless_row_matches_analytic_curve(self):
         thetas = np.linspace(0.05, 1.0, 15)
         rows = sweep_t2_noise(thetas, [0.0])
