@@ -9,6 +9,7 @@ brute-force verification of the classical bounds.
 
 from .detector import EfficiencyTriple, observe
 from .errors import (
+    CrossCheckError,
     DegenerateCoefficientsError,
     MarginalInconsistencyError,
     NormalizationError,
@@ -73,6 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorTensor",
     "BilocalVertex",
+    "CrossCheckError",
     "DegenerateCoefficientsError",
     "DensityMatrix",
     "EfficiencyTriple",

@@ -59,6 +59,7 @@ from .qcore import (
 )
 from .search import (
     SearchConfig,
+    SettingsParameterization,
     minimize_svetlichny_cutoff,
     minimize_t2_cutoff,
     sweep_t2_noise,
@@ -197,13 +198,9 @@ def load_settings(path: str) -> SettingsSpec:
 
 
 def explicit_payload(state: PureState, settings: SettingsTriple) -> dict:
-    amp = state.amplitudes
-    return {
-        "explicit": {
-            "state": np.column_stack((amp.real, amp.imag)).tolist(),
-            "measurements": settings.angles().reshape(6, 2).tolist(),
-        }
-    }
+    params = SettingsParameterization.from_quantum(state, settings)
+    return {"explicit": {"state": params.state_coords.reshape(8, 2).tolist(),
+                         "measurements": params.measurement_angles.reshape(6, 2).tolist()}}
 
 
 def spec_from_flags(args) -> SettingsSpec:
@@ -317,27 +314,15 @@ def cmd_bounds_verify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     spec = spec_from_flags(args)
-    tensor = ideal_tensor(spec)
-    ideal_t2 = t2_value(tensor)
-    ideal_sv = svetlichny_corr_value(tensor)
-    outputs = {"ideal_t2": ideal_t2.value, "ideal_svetlichny": ideal_sv.value}
-    violated = {"ideal_t2": ideal_t2.violated, "ideal_svetlichny": ideal_sv.violated}
-    lines = [
-        f"ideal   t2 = {ideal_t2.value:+.12e}  violated: {ideal_t2.violated}",
-        f"ideal   svetlichny = {ideal_sv.value:+.12e}  violated: {ideal_sv.violated}",
-    ]
+    tensors = {"ideal": ideal_tensor(spec)}
     if spec.etas is not None:
-        observed = observe(tensor, spec.etas)
-        obs_t2 = t2_value(observed)
-        obs_sv = svetlichny_corr_value(observed)
-        outputs["observed_t2"] = obs_t2.value
-        outputs["observed_svetlichny"] = obs_sv.value
-        violated["observed_t2"] = obs_t2.violated
-        violated["observed_svetlichny"] = obs_sv.violated
-        lines += [
-            f"observed t2 = {obs_t2.value:+.12e}  violated: {obs_t2.violated}",
-            f"observed svetlichny = {obs_sv.value:+.12e}  violated: {obs_sv.violated}",
-        ]
+        tensors["observed"] = observe(tensors["ideal"], spec.etas)
+    outputs, violated, lines = {}, {}, []
+    for stage, tensor in tensors.items():
+        for name, evaluate in (("t2", t2_value), ("svetlichny", svetlichny_corr_value)):
+            value, flag = evaluate(tensor)
+            outputs[f"{stage}_{name}"], violated[f"{stage}_{name}"] = value, flag
+            lines.append(f"{stage:<7} {name} = {value:+.12e}  violated: {flag}")
     emit(args, result_record(args, spec.payload, outputs, violated), lines)
     return 0
 

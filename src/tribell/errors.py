@@ -31,3 +31,7 @@ class DegenerateCoefficientsError(TribellError):
 
 class SearchFailureError(TribellError):
     """No restart of the optimizer found violating settings."""
+
+
+class CrossCheckError(TribellError, RuntimeError):
+    """Two computations of one quantity disagree: a fault of the program."""

@@ -6,13 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from .qcore import (
+    SIN_FLOOR,
     DensityMatrix,
     PureState,
     QubitMeasurement,
     SettingsTriple,
 )
-
-SIN_FLOOR = 1e-9
 
 
 class ThetaSetting:

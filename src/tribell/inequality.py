@@ -25,7 +25,6 @@ arrays.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from typing import NamedTuple
 
@@ -37,10 +36,13 @@ from .errors import (
     MarginalInconsistencyError,
     NoViolationError,
 )
-from .qcore import BehaviorTensor
+from .qcore import (
+    CUTOFF_ROUNDING, DEGENERATE_TOL, MARGINAL_TOL, NONNEGATIVE_TOL, VIOLATION_TOL, ZERO_ROOT,
+    _ENTRY,
+    BehaviorTensor,
+    _marginal_checks,
+)
 
-VIOLATION_TOL = 1e-9
-MARGINAL_TOL = 1e-8
 SVETLICHNY_BOUND = 4.0
 T2_BOUND = 0.0
 
@@ -53,10 +55,7 @@ CORRELATOR_SIGNS[1, 0, 1] = 1.0
 # the probability form
 T2_TRIPLE_SIGNS = np.array([[[0, -1], [-1, 2]], [[-1, 2], [2, 2]]])
 
-# Party subsets and setting triples are bit masks in index order: party a
-# (setting x) is 4, b (y) is 2, c (z) is 1.  Entry e of the flattened
-# behavior has outcomes e // 8 and settings e % 8.
-_ENTRY = np.arange(64)
+# Party subsets and setting triples are bit masks, as in `qcore._ENTRY`
 _SUBSET_SIZE = np.array([bin(s).count("1") for s in range(8)])
 
 # _ALL_ZERO[S, t, e]: entry e has every party of subset S output 0, at
@@ -99,26 +98,6 @@ def _product(rows: np.ndarray):
     return product
 
 
-def _marginal_checks(marginals):
-    """Rows of differences between two readings of one marginal.
-
-    For each marginal (S, t), P(0...0 for subset S | its parties at the
-    settings in mask t), one row per pair of settings of the parties
-    outside S; with the label of the marginal each row belongs to.
-    """
-    rows, labels = [], []
-    for subset, settings in marginals:
-        parties = [i for i in range(3) if subset & 4 >> i]
-        label = "P({}|{} at {})".format(
-            "0" * len(parties), "".join("abc"[i] for i in parties),
-            "".join(str(settings >> 2 - i & 1) for i in parties))
-        outside = [t for t in range(8) if t & subset == settings]
-        for t0, t1 in itertools.combinations(outside, 2):
-            rows.append(_ALL_ZERO[subset, t0].astype(int) - _ALL_ZERO[subset, t1])
-            labels.append(label)
-    return np.array(rows), labels
-
-
 def _rows_by_size(form: np.ndarray) -> np.ndarray:
     """The sums of a form's 3-, 2- and 1-party rows, shape (3, 64): the
     coefficients of eta^3, eta^2 and eta in its observed value."""
@@ -132,7 +111,7 @@ _cutoff_coefficients = _product(
 # every one- and two-party marginal the correlator form weights must be
 # setting-free: those whose signs do not cancel over the outside settings
 _SVETLICHNY_CHECKS, _SVETLICHNY_LABELS = _marginal_checks(
-    (subset, settings)
+    (subset, 0, settings)
     for subset in range(1, 7)
     for settings in range(8)
     if settings & ~subset == 0
@@ -141,7 +120,7 @@ _svetlichny_marginals = _product(_SVETLICHNY_CHECKS)
 # the probability form: the triple sum T, then -Q (minus twice the pair
 # sum) under each of the 8 readings, then its pair marginals at settings
 # 11 read at both dummy settings, in one product
-_T2_CHECKS, _T2_LABELS = _marginal_checks((pair, pair) for pair in T2_PAIRS)
+_T2_CHECKS, _T2_LABELS = _marginal_checks((pair, 0, pair) for pair in T2_PAIRS)
 _t2 = _product(np.concatenate(
     [T2_FORMS[:1, 7], T2_FORMS[:, _SUBSET_SIZE == 2].sum(axis=1), _T2_CHECKS]))
 
@@ -176,7 +155,7 @@ class SvetlichnyCoefficients:
     __slots__ = ("alpha", "beta", "gamma")
 
     def __init__(self, alpha: float, beta: float, gamma: float):
-        if beta < -1e-9 or gamma < -1e-9:
+        if beta < -NONNEGATIVE_TOL or gamma < -NONNEGATIVE_TOL:
             raise ValueError("beta and gamma must be nonnegative")
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
 
@@ -286,7 +265,7 @@ def _quadratic_root(alpha: float, beta: float, gamma: float) -> float:
     """Crossing of alpha*eta^2 + beta*eta - gamma = 0 below which a violation
     with positive margin alpha + beta - gamma disappears: for alpha < 0 the
     smaller of the two positive roots."""
-    if abs(alpha) < 1e-12:
+    if abs(alpha) < DEGENERATE_TOL:
         return gamma / beta
     disc = beta * beta + 4.0 * alpha * gamma
     if alpha > 0:
@@ -306,13 +285,13 @@ def svetlichny_cutoff(c: SvetlichnyCoefficients) -> float:
     coefficients.
     """
     alpha, beta, gamma = c.alpha, c.beta, c.gamma
-    if abs(alpha) < 1e-12 and beta < 1e-12:
+    if abs(alpha) < DEGENERATE_TOL and beta < DEGENERATE_TOL:
         raise DegenerateCoefficientsError("alpha and beta both vanish")
     margin = c.violation_margin
     if margin <= VIOLATION_TOL:
         raise NoViolationError("settings do not violate at unit efficiency", deficit=-margin)
     root = _quadratic_root(alpha, beta, gamma)
-    if root < 1e-15:
+    if root < ZERO_ROOT:
         warnings.warn("cutoff is 0: violation persists at every positive efficiency")
         root = 0.0
     return float(root)
@@ -374,13 +353,15 @@ def t2_cutoff_symmetric(t_ideal: BehaviorTensor) -> float | None:
 
     For an ideal (unit-efficiency) tensor with sums T and Q the observed
     value is eta^3*T - eta^2*Q, so the crossing sits at Q/T.  Returns None
-    when T <= 0 or the crossing exceeds 1 (no violation at any eta <= 1);
-    a return of exactly 1.0 marks the boundary case.
+    when T <= 0 or the crossing exceeds 1 by more than ``CUTOFF_ROUNDING``
+    (no violation at any eta <= 1); a return of exactly 1.0 marks the
+    boundary case.  The rule is closed and has no floor on T - Q; see the
+    tolerance table of `qcore`.
     """
     triple, pair = t2_triple_and_pair_sums(t_ideal)
     if triple <= 0.0:
         return None
     ratio = pair / triple
-    if ratio > 1.0 + 1e-12:
+    if ratio > 1.0 + CUTOFF_ROUNDING:
         return None
     return min(ratio, 1.0)

@@ -8,12 +8,15 @@ in {0, 1}.
 Measurement settings are 12 angles, (polar, azimuth) per measurement in
 party-major order a0, a1, b0, b1, c0, c1: `SettingsTriple.angles` and
 `SettingsTriple.from_angles` define that layout, and the explicit settings
-JSON and the search's settings vectors (`search.SettingsParameterization`)
-use it.
+JSON, the angles each search restart optimizes and
+`search.SettingsParameterization.measurement_angles` use it.
+
+Every tolerance of the package is defined once, in the table below.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cache
 from typing import NamedTuple
 
@@ -23,14 +26,38 @@ from .errors import NormalizationError
 
 DIM = 8
 
-NORM_TOL = 1e-9          # rejection threshold for state normalization
-# a norm this close to 1 is rounding left by an earlier normalization
-UNIT_NORM_ROUNDING = 16 * np.finfo(float).eps
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = -1e-10
-PROB_FLOOR = -1e-12      # entries below this are an error, above are clamped
-SLICE_SUM_TOL = 1e-10
+# ---------------------------------------------------------------------------
+# Tolerance table.  Each value is dimensionless: a norm, a probability or a
+# signed sum of them, an efficiency or the ratio Q/T.  Minimum efficiencies are
+# infima, approached with a margin that goes to 0, so near them each public
+# function's rule decides.  Verdicts (`t2_value`, `svetlichny_corr_value`)
+# and `svetlichny_cutoff` need a margin above VIOLATION_TOL, so none rests on
+# rounding.  Q/T needs none, as a ratio of two small sums is still well
+# determined (theta = 0.02: T - Q = 3.2e-11, Q/T = 0.750075).  Within
+# CUTOFF_ROUNDING of 1, `t2_cutoff_symmetric` is closed, giving 1.0 where
+# violation starts (theta = pi/3, T = Q), and `noisy_t2_min_efficiency` and
+# `sweep_t2_noise` are strict, giving None, as no eta <= 1 violates.
+NORM_TOL = 1e-9             # |norm - 1| of a state given from outside; more is not rounding
+UNIT_NORM_ROUNDING = 16 * np.finfo(float).eps  # |norm - 1| left by normalizing; kept
+ZERO_NORM = 1e-12           # norm below which `PureState.normalized` finds no direction
+HERMITICITY_TOL = 1e-12     # max |rho - rho^H|: rounding of outer products and mixtures
+TRACE_TOL = 1e-12           # |Tr rho - 1|, likewise
+PSD_TOL = -1e-10            # lowest eigenvalue of rho; eigvalsh rounds 0 to a few 1e-16
+PROB_FLOOR = -1e-12         # entries below are an error; above, rounding clipped to 0
+SLICE_SUM_TOL = 1e-10       # |setting slice sum - 1|: 8 entries, each clipped by <= 1e-12
+VIOLATION_TOL = 1e-9        # rules above; statistics round to ~1e-15; MDE eigenvalue floor
+MARGINAL_TOL = 1e-8         # two readings of one marginal; Born tensors agree to ~1e-15
+NONNEGATIVE_TOL = 1e-9      # how far below 0 beta and gamma, sums of probabilities, round
+DEGENERATE_TOL = 1e-12      # |alpha| below it: the cutoff is linear; with beta, degenerate
+ZERO_ROOT = 1e-15           # correlator cutoff below it is reported as 0, with a warning
+CUTOFF_ROUNDING = 1e-12     # distance of Q/T from 1 that is rounding; the rules above
+CONVERGENCE_TOL = 1e-12     # default `SearchConfig.convergence_tol`, as in L-BFGS-B
+SVET_MARGIN_FLOOR = 1e-10   # a restart's correlator margin at or below it is no violation
+T2_TRIPLE_FLOOR = 1e-8      # likewise a triple sum T: keeps float noise out of Q/T
+REVERIFY_TOL = 1e-9         # certificate vs public path; they agree to about 1e-10
+CROSSING_BRACKET = 1e-7     # half-width of the sign bracket pinning each noise crossing
+SIN_FLOOR = 1e-9            # sin(theta) of the theta family, whose amplitudes divide by it
+# end of the tolerance table
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -65,7 +92,7 @@ class PureState:
         """Normalize an arbitrary nonzero vector into a state."""
         vec = np.asarray(vector, dtype=complex).reshape(-1)
         norm = np.linalg.norm(vec)
-        if norm < 1e-12:
+        if norm < ZERO_NORM:
             raise NormalizationError("cannot normalize a (near-)zero vector")
         return cls(vec / norm)
 
@@ -201,30 +228,44 @@ def validated_probabilities(probs) -> np.ndarray:
     return p
 
 
+# Entry e of a flattened behavior has outcomes e // 8 and settings e % 8, as
+# bit masks: party a (setting x) is 4, b (y) is 2, c (z) is 1
+_ENTRY = np.arange(64)
+
+
+def _marginal_checks(marginals):
+    """Rows of differences between two readings of one marginal.
+
+    For each marginal (S, o, t), the probability that the parties of subset
+    S output o at their settings t, one row over the 64 flattened entries
+    per pair of settings of the parties outside S; with the label of the
+    marginal each row belongs to.
+    """
+    rows, labels = [], []
+    for subset, outcomes, settings in marginals:
+        parties = [i for i in range(3) if subset & 4 >> i]
+        bits = ["".join(str(mask >> 2 - i & 1) for i in parties) for mask in (outcomes, settings)]
+        label = f"P({bits[0]}|{''.join('abc'[i] for i in parties)} at {bits[1]})"
+        reads = (_ENTRY // 8 & subset) == outcomes
+        outside = [t for t in range(8) if t & subset == settings]
+        for t0, t1 in itertools.combinations(outside, 2):
+            rows.append((reads & (_ENTRY % 8 == t0)).astype(int) - (reads & (_ENTRY % 8 == t1)))
+            labels.append(label)
+    return np.array(rows), labels
+
+
+@cache
+def _no_signaling_checks() -> np.ndarray:
+    """`_marginal_checks` rows of every one- and two-party marginal."""
+    marginals = itertools.product(range(1, 7), range(8), range(8))  # (S, o, t)
+    return _marginal_checks(m for m in marginals if (m[1] | m[2]) & ~m[0] == 0)[0]
+
+
 def no_signaling_deviation(probs: np.ndarray) -> float:
-    """Largest dependence of any one- or two-party marginal on an outside setting."""
-    p = np.asarray(probs, dtype=float)
-    pair_ab = p.sum(axis=2)            # [a,b,x,y,z]
-    pair_ac = p.sum(axis=1)            # [a,c,x,y,z]
-    pair_bc = p.sum(axis=0)            # [b,c,x,y,z]
-    devs = [
-        np.abs(pair_ab[..., 0] - pair_ab[..., 1]).max(),
-        np.abs(pair_ac[..., :, 0, :] - pair_ac[..., :, 1, :]).max(),
-        np.abs(pair_bc[..., 0, :, :] - pair_bc[..., 1, :, :]).max(),
-    ]
-    # single-party marginals, against both outside settings
-    single_a = pair_ab.sum(axis=1)     # [a,x,y,z]
-    single_b = pair_ab.sum(axis=0)     # [b,x,y,z]
-    single_c = pair_ac.sum(axis=0)     # [c,x,y,z]
-    devs += [
-        np.abs(single_a[:, :, 0, :] - single_a[:, :, 1, :]).max(),
-        np.abs(single_a[:, :, :, 0] - single_a[:, :, :, 1]).max(),
-        np.abs(single_b[:, 0, :, :] - single_b[:, 1, :, :]).max(),
-        np.abs(single_b[:, :, :, 0] - single_b[:, :, :, 1]).max(),
-        np.abs(single_c[:, 0, :, :] - single_c[:, 1, :, :]).max(),
-        np.abs(single_c[:, :, 0, :] - single_c[:, :, 1, :]).max(),
-    ]
-    return float(max(devs))
+    """Largest difference of any one- or two-party marginal between two
+    settings of the parties outside it."""
+    flat = np.asarray(probs, dtype=float).reshape(-1, 64)
+    return float(np.abs(flat @ _no_signaling_checks().T).max())
 
 
 def density_from_pure(state: PureState) -> DensityMatrix:

@@ -18,12 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .detector import observed_probabilities
-from .errors import SearchFailureError
+from .errors import CrossCheckError, SearchFailureError
 from .families import NoiseLevel, ThetaSetting, mix_white_noise, theta_measurements, theta_state
 from .inequality import (
     SVETLICHNY_FORM,
     T2_FORMS,
-    VIOLATION_TOL,
     _cutoff_coefficients,
     _quadratic_root,
     _rows_by_size,
@@ -35,23 +34,16 @@ from .inequality import (
     t2_triple_and_pair_sums,
 )
 from .qcore import (
+    CONVERGENCE_TOL, CROSSING_BRACKET, CUTOFF_ROUNDING, REVERIFY_TOL, SVET_MARGIN_FLOOR,
+    T2_TRIPLE_FLOOR, VIOLATION_TOL,
     PureState,
     SettingsTriple,
+    _frozen,
     behavior_from_settings,
     density_from_pure,
-    measurement_basis,
     pure_behavior_probabilities,
     validated_probabilities,
 )
-
-# treat violation margins below these floors as "no violation" inside the
-# objectives; keeps float noise in near-degenerate tensors out of the ratios
-_T2_TRIPLE_FLOOR = 1e-8
-_SVET_MARGIN_FLOOR = 1e-10
-
-# half-width of the sign bracket around each closed-form noise crossing
-_CROSSING_BRACKET = 1e-7
-_FEASIBILITY_MARGIN = 1e-12
 
 
 class SettingsParameterization:
@@ -70,9 +62,7 @@ class SettingsParameterization:
         ma = np.asarray(measurement_angles, dtype=float).reshape(-1)
         if sc.shape != (16,) or ma.shape != (12,):
             raise ValueError("expected 16 state coordinates and 12 angles")
-        sc.setflags(write=False)
-        ma.setflags(write=False)
-        self.state_coords, self.measurement_angles = sc, ma
+        self.state_coords, self.measurement_angles = _frozen(sc), _frozen(ma)
 
     def to_state(self) -> PureState:
         return PureState.normalized(self.state_coords[0::2] + 1j * self.state_coords[1::2])
@@ -109,7 +99,7 @@ class SearchConfig:
     __slots__ = ("restarts", "seed", "max_iterations", "convergence_tol", "penalty_weight")
 
     def __init__(self, restarts: int, seed: int = 0, max_iterations: int = 6000,
-                 convergence_tol: float = 1e-12, penalty_weight: float = 1.0):
+                 convergence_tol: float = CONVERGENCE_TOL, penalty_weight: float = 1.0):
         if restarts < 1 or seed < 0:
             raise ValueError("restarts must be >= 1 and seed >= 0")
         # negated comparisons, so that a NaN fails them
@@ -150,34 +140,44 @@ class SweepRow(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# fixed-state cutoffs of a 28-vector, the certificate of each restart (Born
-# tensors are no-signaling, so the marginal checks of the public path are
-# skipped)
+# the fixed-state cutoff of a restart's (amplitudes, angles) pair, its
+# certificate (Born tensors are no-signaling, so the marginal checks of the
+# public path are skipped)
 
-def _probs_from_vector(vec: np.ndarray) -> np.ndarray:
-    amp = vec[0:16:2] + 1j * vec[1:16:2]
-    amp = amp / np.linalg.norm(amp)
-    angles = vec[16:].reshape(3, 2, 2)  # the layout of SettingsTriple.angles
-    return pure_behavior_probabilities(amp, measurement_basis(angles[..., 0], angles[..., 1]))
-
-
-def _svetlichny_objective(vec: np.ndarray, penalty_weight: float) -> float:
-    probs = _probs_from_vector(vec)
-    alpha, beta, gamma = _cutoff_coefficients(probs)
-    margin = alpha + beta - gamma
-    if margin <= _SVET_MARGIN_FLOOR:
-        return 1.0 + penalty_weight * max(-margin, 0.0)
-    # margin > 0 and gamma >= 0 keep alpha and beta off the degenerate corner
-    return _quadratic_root(alpha, beta, gamma)
-
-
-def _t2_objective(vec: np.ndarray, penalty_weight: float) -> float:
-    probs = _probs_from_vector(vec)
+def _fixed_cutoff(kind: str, pair, penalty_weight: float) -> float:
+    """Cutoff of one state and 12 measurement angles, or 1 plus ``penalty_weight``
+    times the shortfall when they do not violate at unit efficiency."""
+    amplitudes, angles = pair
+    probs = pure_behavior_probabilities(amplitudes / np.linalg.norm(amplitudes),
+                                        SettingsTriple.from_angles(angles).bases())
+    if kind == "svetlichny":
+        alpha, beta, gamma = _cutoff_coefficients(probs)
+        margin = alpha + beta - gamma
+        if margin <= SVET_MARGIN_FLOOR:
+            return 1.0 + penalty_weight * max(-margin, 0.0)
+        # margin > 0 and gamma >= 0 keep alpha and beta off the degenerate corner
+        return _quadratic_root(alpha, beta, gamma)
     triple, minus_q = _t2_terms(probs)
-    pair = -minus_q[0]
-    if triple <= _T2_TRIPLE_FLOOR or pair > triple:
-        return 1.0 + penalty_weight * max(pair - triple, 0.0)
-    return pair / triple
+    pair_sum = -minus_q[0]
+    if triple <= T2_TRIPLE_FLOOR or pair_sum > triple:
+        return 1.0 + penalty_weight * max(pair_sum - triple, 0.0)
+    return pair_sum / triple
+
+
+def _as_pair(point):
+    """An (amplitudes, angles) pair, or a `SettingsParameterization` 28-vector as one."""
+    if len(point) == 2:
+        return point
+    params = SettingsParameterization.from_vector(point)
+    return params.to_state().amplitudes, params.measurement_angles
+
+
+def _svetlichny_objective(point, penalty_weight: float) -> float:
+    return _fixed_cutoff("svetlichny", _as_pair(point), penalty_weight)
+
+
+def _t2_objective(point, penalty_weight: float) -> float:
+    return _fixed_cutoff("t2", _as_pair(point), penalty_weight)
 
 
 def _random_start(rng: np.random.Generator) -> np.ndarray:
@@ -197,12 +197,10 @@ def _random_start(rng: np.random.Generator) -> np.ndarray:
 # eigenvector is the best state for the given measurements (the state step of
 # the see-saw of Pal & Vertesi, PRA 82, 022116 (2010), solved exactly).
 
-# eigenvalues at most this far above 0 do not count as a violation; a floor of
-# 1e-12 drives the probability form to triple sums near 1e-8, where the public
-# path re-verifies the cutoff only to about 2e-9
-_EIGEN_FLOOR = VIOLATION_TOL
-# Newton from eta = 1 meets the floor in 4-8 steps; the cap bounds the
-# bisection fallback
+# The eigenvalue floor is VIOLATION_TOL: a floor of 1e-12 drives the
+# probability form to triple sums near 1e-8, where the public path
+# re-verifies the cutoff only to about 2e-9.  Newton from eta = 1 meets the
+# floor in 4-8 steps; the cap bounds the bisection fallback
 _NEWTON_STEPS = 60
 
 # entry (outcome o, setting s) of one party reads Pi^s for o = 0 and I - Pi^s
@@ -269,12 +267,12 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
     the angles, and that state.
 
     The cutoff is where lambda(eta) = lambda_max(eta A_3 + A_2 + A_1 / eta)
-    falls to `_EIGEN_FLOOR`, left of eta = 1: Newton steps from eta = 1 on
+    falls to `VIOLATION_TOL`, left of eta = 1: Newton steps from eta = 1 on
     eigh alone, kept inside a bracket that falls back to bisection.  Its
     gradient is -(d lambda / d angles) / (d lambda / d eta), both by
     Hellmann-Feynman at the top eigenvector.  When lambda(1) is at most the
     floor nothing violates at eta = 1, and the value is 1 + penalty_weight *
-    (floor - lambda(1)), with its gradient.
+    (VIOLATION_TOL - lambda(1)), with its gradient.
     """
     local, d_bloch = _local_paulis(np.reshape(angles, (3, 2, 2)))
     a3, a2, a1 = _row_operators(coefficients, local)
@@ -290,16 +288,16 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
     resolution = 16.0 * np.finfo(float).eps * np.linalg.norm([a3, a2, a1], axis=(1, 2))
     eta, lo, hi = 1.0, 0.0, 1.0
     lam, state = top(eta)
-    violated = lam > _EIGEN_FLOOR
+    violated = lam > VIOLATION_TOL
     for _ in range(_NEWTON_STEPS if violated else 0):
-        if abs(lam - _EIGEN_FLOOR) <= resolution @ (eta, 1.0, 1.0 / eta):
+        if abs(lam - VIOLATION_TOL) <= resolution @ (eta, 1.0, 1.0 / eta):
             break
-        if lam > _EIGEN_FLOOR:
+        if lam > VIOLATION_TOL:
             hi = eta
         else:
             lo = eta
         d_eta = slope(eta, state)
-        step = eta - (lam - _EIGEN_FLOOR) / d_eta if d_eta > 0.0 else np.nan
+        step = eta - (lam - VIOLATION_TOL) / d_eta if d_eta > 0.0 else np.nan
         eta = step if lo < step < hi else 0.5 * (lo + hi)
         lam, state = top(eta)
 
@@ -321,7 +319,7 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
         d_lambda[party] = 0.5 * np.einsum("si,sai->sa", d_local[1:, 1:], d_bloch[party])
     d_lambda = d_lambda.reshape(-1)
     if not violated:
-        return 1.0 + penalty_weight * (_EIGEN_FLOOR - lam), -penalty_weight * d_lambda, state
+        return 1.0 + penalty_weight * (VIOLATION_TOL - lam), -penalty_weight * d_lambda, state
     # lambda rises through the floor at the cutoff; a flat crossing has no
     # gradient to offer
     d_eta = slope(eta, state)
@@ -390,10 +388,11 @@ def minimize(fun, x0, *, max_iterations: int, tol: float) -> LocalMinimum:
     return LocalMinimum(x, f, nfev, max_iterations, "budget")
 
 
-def _reverify(vec: np.ndarray, kind: str) -> float:
-    """Recompute the cutoff through the public, validated path."""
-    params = SettingsParameterization.from_vector(vec)
-    tensor = behavior_from_settings(density_from_pure(params.to_state()), params.to_settings())
+def _reverify(pair, kind: str) -> float:
+    """Recompute a pair's cutoff through the public, validated path."""
+    amplitudes, angles = pair
+    tensor = behavior_from_settings(density_from_pure(PureState.normalized(amplitudes)),
+                                    SettingsTriple.from_angles(angles))
     if kind == "svetlichny":
         return svetlichny_cutoff(svetlichny_coefficients(tensor))
     cutoff = t2_cutoff_symmetric(tensor)
@@ -403,23 +402,20 @@ def _reverify(vec: np.ndarray, kind: str) -> float:
 
 
 def _angle_search(kind: str, x0: np.ndarray,
-                  cfg: SearchConfig) -> tuple[np.ndarray, LocalMinimum]:
+                  cfg: SearchConfig) -> tuple[tuple[np.ndarray, np.ndarray], LocalMinimum]:
     """One restart: `minimize` over the 12 angles of the eigenvalue-reduced
-    cutoff.  Returns the 28-vector of the top eigenvector and the found
-    angles, and where `minimize` stopped."""
+    cutoff.  Returns the pair of the top eigenvector and the found angles,
+    and where `minimize` stopped."""
     coefficients = _operator_coefficients(kind)
     res = minimize(lambda x: _eigen_cutoff(coefficients, x, cfg.penalty_weight)[:2], x0,
                    max_iterations=cfg.max_iterations, tol=cfg.convergence_tol)
-    state = _eigen_cutoff(coefficients, res.x, cfg.penalty_weight)[2]
-    return np.concatenate([np.column_stack((state.real, state.imag)).reshape(-1), res.x]), res
+    return (_eigen_cutoff(coefficients, res.x, cfg.penalty_weight)[2], res.x), res
 
 
 def _multistart(kind: str, cfg: SearchConfig,
                 initial: SettingsParameterization | None) -> SearchResult:
-    objective_fn = _svetlichny_objective if kind == "svetlichny" else _t2_objective
-
-    values, nfev, nit, status, restart_s = [], [], [], [], []
-    best_val, best_vec = np.inf, None
+    restarts = []  # (value, nfev, nit, status, seconds) per restart
+    best_val, best_pair = np.inf, None
     violating = 0
     for i in range(cfg.restarts):
         start = time.perf_counter()
@@ -427,19 +423,15 @@ def _multistart(kind: str, cfg: SearchConfig,
             x0 = initial.measurement_angles
         else:
             x0 = _random_start(np.random.default_rng(cfg.seed + i))
-        vec, res = _angle_search(kind, x0, cfg)
+        pair, res = _angle_search(kind, x0, cfg)
         # the restart's value is the fixed-state cutoff of what it found
-        val = float(objective_fn(vec, cfg.penalty_weight))
-        values.append(val)
-        nfev.append(res.nfev)
-        nit.append(res.nit)
-        status.append(res.status)
-        restart_s.append(time.perf_counter() - start)
-        if status[-1] == "budget" or not val < 1.0:
+        val = float(_fixed_cutoff(kind, pair, cfg.penalty_weight))
+        restarts.append((val, res.nfev, res.nit, res.status, time.perf_counter() - start))
+        if res.status == "budget" or not val < 1.0:
             continue
         violating += 1
         if val < best_val:
-            best_val, best_vec = val, vec
+            best_val, best_pair = val, pair
 
     if violating == 0:
         raise SearchFailureError(
@@ -448,21 +440,18 @@ def _multistart(kind: str, cfg: SearchConfig,
         )
     # no optimizer-state leakage: the reported value is recomputed from the
     # returned settings through the validated evaluation path
-    best_eta = _reverify(best_vec, kind)
-    if abs(best_eta - best_val) > 1e-9:
-        raise RuntimeError(
+    best_eta = _reverify(best_pair, kind)
+    if abs(best_eta - best_val) > REVERIFY_TOL:
+        raise CrossCheckError(
             f"re-verified cutoff {best_eta} deviates from optimizer value {best_val}"
         )
-    return SearchResult(
-        best_eta=float(best_eta),
-        best_settings=SettingsParameterization.from_vector(best_vec),
-        restart_values=tuple(values),
-        violating_restarts=violating,
-        nfev=tuple(nfev),
-        nit=tuple(nit),
-        status=tuple(status),
-        restart_s=tuple(restart_s),
-    )
+    # an eigenvector is a unit vector to rounding, which PureState keeps as
+    # it is, so the settings hold the amplitudes the search found
+    amplitudes, angles = best_pair
+    best_settings = SettingsParameterization.from_quantum(
+        PureState(amplitudes), SettingsTriple.from_angles(angles))
+    values, *diagnostics = zip(*restarts)
+    return SearchResult(float(best_eta), best_settings, values, violating, *diagnostics)
 
 
 def minimize_svetlichny_cutoff(cfg: SearchConfig,
@@ -494,40 +483,41 @@ def _t2_noise_crossings(probs: np.ndarray) -> list[float | None]:
 
     ``probs`` has shape ``(n, 2, 2, 2, 2, 2, 2)``.  Each tensor is validated
     and clipped as a `BehaviorTensor` would be; its crossing is the
-    closed-form ratio r = Q/T of its pair and triple sums, or None when no
-    efficiency eta <= 1 gives a strict violation.  Two runtime checks keep
-    the closed form honest: the statistic at eta = 1 must not violate on
-    any tensor called infeasible, and the observed statistic of every
-    feasible tensor, eta^2 (eta T - Q) with its only positive root at r,
-    must be <= 0 at eta = max(r - 1e-7, 0) and > 0 at eta = r + 1e-7 (when
-    that is <= 1).  Both sides of the bracket go through one channel call.
-    Either failure raises RuntimeError.
+    closed-form ratio r = Q/T of its pair and triple sums, or None unless
+    r < 1 - ``CUTOFF_ROUNDING`` (the strict rule of the tolerance table).
+    Two runtime checks keep the closed form honest: the statistic at eta = 1
+    must not violate on any tensor called infeasible, and the observed
+    statistic of every feasible tensor, eta^2 (eta T - Q) with its only
+    positive root at r, must be <= 0 at eta = max(r - b, 0) and > 0 at
+    eta = r + b (when that is <= 1), b = ``CROSSING_BRACKET``.  Both sides
+    of the bracket go through one channel call.  Either failure raises
+    `CrossCheckError`.
     """
     probs = validated_probabilities(probs)
     triple, pair = t2_triple_and_pair_sums(probs)
     positive = triple > 0.0
     ratio = np.divide(pair, triple, out=np.full_like(pair, np.inf), where=positive)
-    feasible = ratio < 1.0 - _FEASIBILITY_MARGIN
+    feasible = ratio < 1.0 - CUTOFF_ROUNDING
 
     # no strict violation at any eta <= 1 off the feasible set; cheap sanity
     # check at eta = 1
     at_one = t2_statistic(probs[~feasible], pair_reading="checked")
-    if np.any(at_one > 1e-9):
-        raise RuntimeError("closed form says infeasible but eta=1 violates")
+    if np.any(at_one > VIOLATION_TOL):
+        raise CrossCheckError("closed form says infeasible but eta=1 violates")
 
     # lower bracket points first, then the upper points that are <= 1
     targets, crossings = probs[feasible], ratio[feasible]
-    above = crossings + _CROSSING_BRACKET <= 1.0
+    above = crossings + CROSSING_BRACKET <= 1.0
     bracketed = np.concatenate([crossings, crossings[above]])
     upper = np.arange(len(bracketed)) >= len(crossings)
-    etas = np.where(upper, bracketed + _CROSSING_BRACKET,
-                    np.maximum(bracketed - _CROSSING_BRACKET, 0.0))
+    etas = np.where(upper, bracketed + CROSSING_BRACKET,
+                    np.maximum(bracketed - CROSSING_BRACKET, 0.0))
     observed = observed_probabilities(np.concatenate([targets, targets[above]]),
                                       np.repeat(etas[:, None], 3, axis=1))
     wrong = (t2_statistic(observed, pair_reading="checked") > 0.0) != upper
     if wrong.any():
         worst = int(np.argmax(wrong))
-        raise RuntimeError(
+        raise CrossCheckError(
             f"closed-form crossing {bracketed[worst]} and the sign of the observed "
             f"statistic at eta = {etas[worst]} disagree"
         )
@@ -554,12 +544,9 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
     in the state the noisy tensor equals (1 - p) * ideal + p * uniform.  The
     tests pin the ideal tensors to the density-matrix route within 1e-15,
     and the crossings to those of `noisy_t2_min_efficiency`, which takes
-    that route, within 1e-12.  Each noise row, every theta at one p,
-    is one stack of tensors: it is validated, its crossings Q/T are read in
-    closed form, the cells called infeasible are checked not to violate at
-    eta = 1, and one channel call over all feasible cells checks that the
-    observed statistic changes sign within 1e-7 of every Q/T.  A cell that
-    fails either check raises RuntimeError.
+    that route, within 1e-12.  Each noise row, every theta at one p, is
+    one stack of tensors whose crossings `_t2_noise_crossings` reads and
+    cross-checks.
     """
     thetas = sorted(float(t) for t in theta_grid)
     ps = sorted(float(p) for p in p_grid)

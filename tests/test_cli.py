@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tribell
+from tribell import search
 from conftest import random_settings, random_state
 from tribell.cli import explicit_payload, main, parse_settings_payload, settings_digest
 from tribell.families import ghz_setting
@@ -191,6 +192,17 @@ class TestSweep:
         rows = [line.split(",") for line in out_path.read_text().strip().split("\n")[1:]]
         keys = [(float(p), float(t)) for t, p, _ in rows]
         assert keys == sorted(keys)
+
+    def test_failed_cross_check_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a channel that ignores the efficiencies fails the sweep's sign
+        # bracket: an internal cross-check, reported as a failed check
+        monkeypatch.setattr(search, "observed_probabilities", lambda probs, etas: probs)
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--theta-grid", "0.3:0.6:2", "--p-grid", "0:0.01:2",
+                           "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ") and "disagree" in err
+        assert not out_path.exists()
 
     def test_bad_grid_spec(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--theta-grid", "0.5:0.1:5",

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_behavior, random_settings, random_state
 from tribell.errors import NormalizationError
 from tribell.families import ThetaSetting, theta_measurements, theta_state
+from tribell.polytope import BilocalVertex, T2Vertex, vertex_to_behavior
 from tribell.qcore import (
     _BORN_SUBSCRIPTS,
     BehaviorTensor,
@@ -256,6 +257,16 @@ class TestBehaviorTensor:
         t = uniform_behavior()
         assert t.probs.max() == 0.125
         assert no_signaling_deviation(t.probs) == 0.0
+
+    @pytest.mark.parametrize("vertex, deviation", [
+        # the future party B outputs y XOR x, so its marginal P(b|x, y) moves with x
+        (T2Vertex("AB|C", True, (0, 1), ((0, 1), (1, 0)), (0, 0)), 1.0),
+        (BilocalVertex("AB|C", (((0, 0), (0, 1)), ((1, 0), (1, 1))), (0, 1)), 0.0),
+    ])
+    def test_no_signaling_deviation_at_vertices(self, vertex, deviation):
+        # the existing checks bound the deviation from above; a function that
+        # always returned 0 would pass them
+        assert no_signaling_deviation(vertex_to_behavior(vertex).probs) == deviation
 
 
 def test_born_rule_uses_the_searched_contraction_path(rng):
