@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .detector import EfficiencyTriple, observe
-from .errors import NoViolationError, TribellError
+from .errors import NormalizationError, NoViolationError, TribellError
 from .families import (
     GHZ_OPTIMAL_AZIMUTHS,
     NoiseLevel,
@@ -171,7 +171,10 @@ def _parse_settings_payload(payload: dict) -> SettingsSpec:
         _require(set(exp) == {"state", "measurements"},
                  "'explicit' needs exactly 'state' and 'measurements'")
         amps = _pairs(exp["state"], 8, "state", "[re, im]")
-        state = PureState(amps[:, 0] + 1j * amps[:, 1])
+        try:  # a state off unit norm is a malformed value, not a failed check
+            state = PureState(amps[:, 0] + 1j * amps[:, 1])
+        except NormalizationError as exc:
+            raise SettingsFileError(f"invalid settings: {exc}") from exc
         settings = SettingsTriple.from_angles(
             _pairs(exp["measurements"], 6, "measurements", "[polar, azimuth]"))
 
@@ -297,8 +300,6 @@ def cmd_bounds_verify(args) -> int:
         vertices = enumerate_t2_vertices()
         maximum = classical_max("t2", vertices)
         expected = 0
-    if args.corrupt:
-        maximum += 1  # negative-control hook for the exit-code contract
     record = result_record(
         args,
         {"inequality": args.inequality},
@@ -360,12 +361,8 @@ def cmd_cde(args) -> int:
 
 def cmd_mde(args) -> int:
     with _usage_errors("invalid search settings"):
-        cfg = SearchConfig(
-            restarts=args.restarts,
-            seed=args.seed,
-            max_iterations=args.max_iterations,
-            penalty_weight=args.penalty_weight,
-        )
+        cfg = SearchConfig(restarts=args.restarts, seed=args.seed,
+                           max_iterations=args.max_iterations)
     runner = minimize_svetlichny_cutoff if args.inequality == "svetlichny" else minimize_t2_cutoff
     result = runner(cfg)
     out_path = args.out or f"mde-{args.inequality}-settings.json"
@@ -437,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = bounds_sub.add_parser("verify", help="enumerate vertices and check the bound")
     verify.add_argument("--inequality", choices=("t2", "svetlichny"), required=True)
     verify.add_argument("--json", action="store_true")
-    verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_bounds_verify)
 
     def add_settings_flags(p):
@@ -461,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     mde.add_argument("--restarts", type=int, default=100)
     mde.add_argument("--seed", type=int, default=0)
     mde.add_argument("--max-iterations", type=int, default=6000)
-    mde.add_argument("--penalty-weight", type=float, default=1.0)
     mde.add_argument("--out", help="path for the best-settings JSON dump")
     mde.add_argument("--json", action="store_true")
     mde.set_defaults(func=cmd_mde)

@@ -125,12 +125,13 @@ _t2 = _product(np.concatenate(
     [T2_FORMS[:1, 7], T2_FORMS[:, _SUBSET_SIZE == 2].sum(axis=1), _T2_CHECKS]))
 
 
-def _require_agreement(differences: np.ndarray, labels, tol: float) -> None:
+def _require_agreement(differences: np.ndarray, labels) -> None:
     """Raise unless every difference of two readings of a marginal is
-    within tol; the last axis of ``differences`` runs along ``labels``."""
+    within ``MARGINAL_TOL``; the last axis of ``differences`` runs along
+    ``labels``."""
     gaps = np.abs(differences).reshape(-1)
     # negated comparison, so that a NaN fails it; an empty stack passes
-    if not gaps.max(initial=0.0) <= tol:
+    if not gaps.max(initial=0.0) <= MARGINAL_TOL:
         worst = int(np.argmax(gaps))
         raise MarginalInconsistencyError(
             f"{labels[worst % len(labels)]} differs across outside settings by {gaps[worst]:.3e}"
@@ -172,18 +173,17 @@ def _scalar_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _t2_terms(probs, tol: float | None = None):
+def _t2_terms(probs, checked: bool = False):
     """Triple sum T and -Q under each of the 8 pair readings, shapes (...)
-    and (..., 8); with a tolerance, first require each pair marginal to
-    agree across its dummy setting."""
+    and (..., 8); for the checked reading, first require each pair marginal
+    to agree across its dummy setting."""
     values = _t2(probs)
-    if tol is not None:
-        _require_agreement(values[..., 9:], _T2_LABELS, tol)
+    if checked:
+        _require_agreement(values[..., 9:], _T2_LABELS)
     return values[..., 0], values[..., 1:9]
 
 
-def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked",
-                 tol: float = MARGINAL_TOL) -> float | np.ndarray:
+def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked") -> float | np.ndarray:
     """Probability-form statistic with classical bound 0.
 
     ``probs`` is one behavior array, giving a float, or a stack of them
@@ -192,8 +192,9 @@ def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked",
     ``pair_reading`` selects how the three pair marginals are extracted,
     among the 8 readings of `T2_FORMS`:
 
-    * ``"checked"``   - require both dummy-setting values to agree (tensors
-      that satisfy no-signaling); raise if any tensor of a stack does not.
+    * ``"checked"``   - require both dummy-setting values to agree within
+      ``MARGINAL_TOL`` (tensors that satisfy no-signaling); raise if any
+      tensor of a stack does not.
     * ``"pessimistic"`` - the minimum over all 8 readings: the larger
       dummy-setting value per pair, which can only lower the statistic.
       This is the reading under which the deterministic-strategy bound of
@@ -204,7 +205,7 @@ def t2_statistic(probs: np.ndarray, *, pair_reading: str = "checked",
     """
     if pair_reading not in ("checked", "pessimistic", "mean", "setting0", "setting1"):
         raise ValueError(f"unknown pair_reading {pair_reading!r}")
-    triple, minus_q = _t2_terms(probs, tol if pair_reading == "checked" else None)
+    triple, minus_q = _t2_terms(probs, checked=pair_reading == "checked")
     readings = triple[..., None] + minus_q
     if pair_reading == "pessimistic":
         value = readings.min(axis=-1)
@@ -234,7 +235,7 @@ def svetlichny_corr_value(t: BehaviorTensor) -> InequalityValue:
     return InequalityValue(value=value, violated=value > SVETLICHNY_BOUND + VIOLATION_TOL)
 
 
-def svetlichny_coefficients(t: BehaviorTensor, *, tol: float = MARGINAL_TOL) -> SvetlichnyCoefficients:
+def svetlichny_coefficients(t: BehaviorTensor) -> SvetlichnyCoefficients:
     """Extract (alpha, beta, gamma) of the cutoff quadratic from a behavior.
 
     The 3-, 2- and 1-party rows of `SVETLICHNY_FORM`, each summed over all
@@ -250,10 +251,10 @@ def svetlichny_coefficients(t: BehaviorTensor, *, tol: float = MARGINAL_TOL) -> 
     cancel over the dummy setting (AB and BC at settings 00 and 11, AC at
     01 and 10), and gamma the sum of the six single marginals of zero.
     Every one of those marginals must agree across its outside settings
-    within ``tol``.
+    within ``MARGINAL_TOL``.
     """
     probs = t.probs
-    _require_agreement(_svetlichny_marginals(probs), _SVETLICHNY_LABELS, tol)
+    _require_agreement(_svetlichny_marginals(probs), _SVETLICHNY_LABELS)
     alpha, beta, gamma = (float(v) for v in _cutoff_coefficients(probs))
     return SvetlichnyCoefficients(alpha=alpha, beta=max(beta, 0.0), gamma=max(gamma, 0.0))
 
@@ -331,7 +332,7 @@ def theta_violation_threshold(etas: EfficiencyTriple) -> float:
     return excess / pair_sum
 
 
-def t2_triple_and_pair_sums(t: BehaviorTensor | np.ndarray, *, tol: float = MARGINAL_TOL):
+def t2_triple_and_pair_sums(t: BehaviorTensor | np.ndarray):
     """Signed triple-probability combination T and doubled pair sum Q.
 
     ``t`` is a `BehaviorTensor`, giving two floats, or a validated stack of
@@ -344,7 +345,7 @@ def t2_triple_and_pair_sums(t: BehaviorTensor | np.ndarray, *, tol: float = MARG
     eta^3 and every pair marginal of zeros with eta^2.
     """
     probs = t.probs if isinstance(t, BehaviorTensor) else t
-    triple, minus_q = _t2_terms(probs, tol)
+    triple, minus_q = _t2_terms(probs, checked=True)
     return _scalar_or_array(triple), _scalar_or_array(-minus_q[..., 0])
 
 

@@ -32,8 +32,10 @@ DIM = 8
 # infima, approached with a margin that goes to 0, so near them each public
 # function's rule decides.  Verdicts (`t2_value`, `svetlichny_corr_value`)
 # and `svetlichny_cutoff` need a margin above VIOLATION_TOL, so none rests on
-# rounding.  Q/T needs none, as a ratio of two small sums is still well
-# determined (theta = 0.02: T - Q = 3.2e-11, Q/T = 0.750075).  Within
+# rounding; an MDE restart's certificate applies the same rule to the margin
+# at eta = 1 of either form (alpha + beta - gamma, or T - Q).  Q/T alone
+# needs none, as a ratio of two small sums is still well determined
+# (theta = 0.02: T - Q = 3.2e-11, Q/T = 0.750075).  Within
 # CUTOFF_ROUNDING of 1, `t2_cutoff_symmetric` is closed, giving 1.0 where
 # violation starts (theta = pi/3, T = Q), and `noisy_t2_min_efficiency` and
 # `sweep_t2_noise` are strict, giving None, as no eta <= 1 violates.
@@ -51,9 +53,7 @@ NONNEGATIVE_TOL = 1e-9      # how far below 0 beta and gamma, sums of probabilit
 DEGENERATE_TOL = 1e-12      # |alpha| below it: the cutoff is linear; with beta, degenerate
 ZERO_ROOT = 1e-15           # correlator cutoff below it is reported as 0, with a warning
 CUTOFF_ROUNDING = 1e-12     # distance of Q/T from 1 that is rounding; the rules above
-CONVERGENCE_TOL = 1e-12     # default `SearchConfig.convergence_tol`, as in L-BFGS-B
-SVET_MARGIN_FLOOR = 1e-10   # a restart's correlator margin at or below it is no violation
-T2_TRIPLE_FLOOR = 1e-8      # likewise a triple sum T: keeps float noise out of Q/T
+CONVERGENCE_TOL = 1e-12     # both stopping tests of each MDE restart, as in L-BFGS-B
 REVERIFY_TOL = 1e-9         # certificate vs public path; they agree to about 1e-10
 CROSSING_BRACKET = 1e-7     # half-width of the sign bracket pinning each noise crossing
 SIN_FLOOR = 1e-9            # sin(theta) of the theta family, whose amplitudes divide by it

@@ -34,8 +34,7 @@ from .inequality import (
     t2_triple_and_pair_sums,
 )
 from .qcore import (
-    CONVERGENCE_TOL, CROSSING_BRACKET, CUTOFF_ROUNDING, REVERIFY_TOL, SVET_MARGIN_FLOOR,
-    T2_TRIPLE_FLOOR, VIOLATION_TOL,
+    CONVERGENCE_TOL, CROSSING_BRACKET, CUTOFF_ROUNDING, NORM_TOL, REVERIFY_TOL, VIOLATION_TOL,
     PureState,
     SettingsTriple,
     _frozen,
@@ -50,9 +49,10 @@ class SettingsParameterization:
     """Settings as one flat vector: 16 state reals + 12 measurement angles.
 
     ``state_coords`` interleaves real and imaginary parts of the 8
-    amplitudes and is normalized on use.  ``measurement_angles`` is
-    `SettingsTriple.angles` flattened: (polar, azimuth) per measurement in
-    party-major order (a0, a1, b0, b1, c0, c1).
+    amplitudes, normalized by `to_state` unless their norm is within
+    ``NORM_TOL`` of 1: `to_state` inverts `from_quantum` bit for bit.
+    ``measurement_angles`` is `SettingsTriple.angles` flattened: (polar,
+    azimuth) per measurement in party-major order (a0, a1, b0, b1, c0, c1).
     """
 
     __slots__ = ("state_coords", "measurement_angles")
@@ -65,7 +65,12 @@ class SettingsParameterization:
         self.state_coords, self.measurement_angles = _frozen(sc), _frozen(ma)
 
     def to_state(self) -> PureState:
-        return PureState.normalized(self.state_coords[0::2] + 1j * self.state_coords[1::2])
+        # (re, im) pairs are the memory layout of complex numbers: every bit,
+        # the sign of a zero included, goes through the view
+        amplitudes = self.state_coords.view(complex)
+        if abs(np.linalg.norm(amplitudes) - 1.0) <= NORM_TOL:
+            return PureState(amplitudes)
+        return PureState.normalized(amplitudes)
 
     def to_settings(self) -> SettingsTriple:
         return SettingsTriple.from_angles(self.measurement_angles)
@@ -80,8 +85,7 @@ class SettingsParameterization:
 
     @classmethod
     def from_quantum(cls, state: PureState, settings: SettingsTriple) -> "SettingsParameterization":
-        amp = state.amplitudes
-        return cls(np.column_stack((amp.real, amp.imag)), settings.angles())
+        return cls(state.amplitudes.view(float), settings.angles())
 
 
 class SearchConfig:
@@ -89,26 +93,17 @@ class SearchConfig:
 
     ``max_iterations`` caps the BFGS iterations of each restart; a
     restart that stops at the cap is reported with status ``budget`` and
-    does not count toward the result.  ``convergence_tol`` bounds both of
-    `minimize`'s convergence tests, on max|gradient| and on the relative
-    decrease of one iteration.  ``penalty_weight`` scales the objective
-    where nothing violates at unit efficiency: 1 plus the weight times the
-    top eigenvalue's shortfall.
+    does not count toward the result.  Both of `minimize`'s convergence
+    tests use ``CONVERGENCE_TOL``.
     """
 
-    __slots__ = ("restarts", "seed", "max_iterations", "convergence_tol", "penalty_weight")
+    __slots__ = ("restarts", "seed", "max_iterations")
 
-    def __init__(self, restarts: int, seed: int = 0, max_iterations: int = 6000,
-                 convergence_tol: float = CONVERGENCE_TOL, penalty_weight: float = 1.0):
-        if restarts < 1 or seed < 0:
-            raise ValueError("restarts must be >= 1 and seed >= 0")
-        # negated comparisons, so that a NaN fails them
-        if not (max_iterations >= 1 and 0.0 < convergence_tol < np.inf
-                and 0.0 < penalty_weight < np.inf):
-            raise ValueError("iterations must be positive, tolerance and penalty weight "
-                             "finite and positive")
+    def __init__(self, restarts: int, seed: int = 0, max_iterations: int = 6000):
+        # a negated comparison, so that a NaN fails it
+        if not (restarts >= 1 and seed >= 0 and max_iterations >= 1):
+            raise ValueError("restarts and max_iterations must be >= 1 and seed >= 0")
         self.restarts, self.seed, self.max_iterations = restarts, seed, max_iterations
-        self.convergence_tol, self.penalty_weight = convergence_tol, penalty_weight
 
 
 class SearchResult(NamedTuple):
@@ -145,23 +140,23 @@ class SweepRow(NamedTuple):
 # public path are skipped)
 
 def _fixed_cutoff(kind: str, pair, penalty_weight: float) -> float:
-    """Cutoff of one state and 12 measurement angles, or 1 plus ``penalty_weight``
-    times the shortfall when they do not violate at unit efficiency."""
+    """Cutoff of unit-norm amplitudes and 12 measurement angles, or 1 plus
+    ``penalty_weight`` times the shortfall when they do not violate at unit
+    efficiency.  Violation is the verdicts' rule: a margin at eta = 1
+    (alpha + beta - gamma, or T - Q) above ``VIOLATION_TOL``."""
     amplitudes, angles = pair
-    probs = pure_behavior_probabilities(amplitudes / np.linalg.norm(amplitudes),
-                                        SettingsTriple.from_angles(angles).bases())
+    probs = pure_behavior_probabilities(amplitudes, SettingsTriple.from_angles(angles).bases())
     if kind == "svetlichny":
         alpha, beta, gamma = _cutoff_coefficients(probs)
         margin = alpha + beta - gamma
-        if margin <= SVET_MARGIN_FLOOR:
-            return 1.0 + penalty_weight * max(-margin, 0.0)
-        # margin > 0 and gamma >= 0 keep alpha and beta off the degenerate corner
-        return _quadratic_root(alpha, beta, gamma)
-    triple, minus_q = _t2_terms(probs)
-    pair_sum = -minus_q[0]
-    if triple <= T2_TRIPLE_FLOOR or pair_sum > triple:
-        return 1.0 + penalty_weight * max(pair_sum - triple, 0.0)
-    return pair_sum / triple
+    else:
+        triple, minus_q = _t2_terms(probs)
+        pair_sum = -minus_q[0]
+        margin = triple - pair_sum
+    if margin <= VIOLATION_TOL:
+        return 1.0 + penalty_weight * max(-margin, 0.0)
+    # a positive margin keeps alpha and beta off the degenerate corner, and T > 0
+    return _quadratic_root(alpha, beta, gamma) if kind == "svetlichny" else pair_sum / triple
 
 
 def _as_pair(point):
@@ -391,7 +386,7 @@ def minimize(fun, x0, *, max_iterations: int, tol: float) -> LocalMinimum:
 def _reverify(pair, kind: str) -> float:
     """Recompute a pair's cutoff through the public, validated path."""
     amplitudes, angles = pair
-    tensor = behavior_from_settings(density_from_pure(PureState.normalized(amplitudes)),
+    tensor = behavior_from_settings(density_from_pure(PureState(amplitudes)),
                                     SettingsTriple.from_angles(angles))
     if kind == "svetlichny":
         return svetlichny_cutoff(svetlichny_coefficients(tensor))
@@ -404,12 +399,16 @@ def _reverify(pair, kind: str) -> float:
 def _angle_search(kind: str, x0: np.ndarray,
                   cfg: SearchConfig) -> tuple[tuple[np.ndarray, np.ndarray], LocalMinimum]:
     """One restart: `minimize` over the 12 angles of the eigenvalue-reduced
-    cutoff.  Returns the pair of the top eigenvector and the found angles,
-    and where `minimize` stopped."""
+    cutoff.  Returns the pair of the top eigenvector, normalized, and the
+    found angles, and where `minimize` stopped."""
     coefficients = _operator_coefficients(kind)
-    res = minimize(lambda x: _eigen_cutoff(coefficients, x, cfg.penalty_weight)[:2], x0,
-                   max_iterations=cfg.max_iterations, tol=cfg.convergence_tol)
-    return (_eigen_cutoff(coefficients, res.x, cfg.penalty_weight)[2], res.x), res
+    res = minimize(lambda x: _eigen_cutoff(coefficients, x, 1.0)[:2], x0,
+                   max_iterations=cfg.max_iterations, tol=CONVERGENCE_TOL)
+    state = _eigen_cutoff(coefficients, res.x, 1.0)[2]
+    # the one normalization of the state the certificate, the re-verification
+    # and the settings read; eigh leaves one zero as 0.0 or -0.0, and adding
+    # 0.0 makes it +0.0, so the settings file prints no sign of a zero
+    return (state / np.linalg.norm(state) + 0.0, res.x), res
 
 
 def _multistart(kind: str, cfg: SearchConfig,
@@ -425,7 +424,7 @@ def _multistart(kind: str, cfg: SearchConfig,
             x0 = _random_start(np.random.default_rng(cfg.seed + i))
         pair, res = _angle_search(kind, x0, cfg)
         # the restart's value is the fixed-state cutoff of what it found
-        val = float(_fixed_cutoff(kind, pair, cfg.penalty_weight))
+        val = float(_fixed_cutoff(kind, pair, 1.0))
         restarts.append((val, res.nfev, res.nit, res.status, time.perf_counter() - start))
         if res.status == "budget" or not val < 1.0:
             continue
@@ -445,8 +444,8 @@ def _multistart(kind: str, cfg: SearchConfig,
         raise CrossCheckError(
             f"re-verified cutoff {best_eta} deviates from optimizer value {best_val}"
         )
-    # an eigenvector is a unit vector to rounding, which PureState keeps as
-    # it is, so the settings hold the amplitudes the search found
+    # PureState keeps the normalized eigenvector's bits, so the settings hold
+    # the state that was certified and re-verified
     amplitudes, angles = best_pair
     best_settings = SettingsParameterization.from_quantum(
         PureState(amplitudes), SettingsTriple.from_angles(angles))

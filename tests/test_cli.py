@@ -35,8 +35,12 @@ class TestBoundsVerify:
         assert code == 0
         assert "max = 0 over 768 vertices" in out
 
-    def test_corrupt_hook_fails(self, capsys):
-        code, _, err = run(capsys, "bounds", "verify", "--inequality", "t2", "--corrupt")
+    def test_corrupt_hook_fails(self, capsys, monkeypatch):
+        # a wrong classical maximum must fail the check with exit 1
+        real = tribell.cli.classical_max
+        monkeypatch.setattr(tribell.cli, "classical_max",
+                            lambda form, vertices: real(form, vertices) + 1)
+        code, _, err = run(capsys, "bounds", "verify", "--inequality", "t2")
         assert code == 1
         assert "mismatch" in err
 
@@ -295,6 +299,8 @@ PROBE_SETTINGS = {
                                        + _EQUATORIAL[1:]}},
     "bool-amplitude.json": {"explicit": {"state": [[True, False]] + [[0.0, 0.0]] * 7,
                                          "measurements": _EQUATORIAL}},
+    "off-norm-amplitude.json": {"explicit": {"state": [[0.7, 0.0]] + _GOOD_STATE[1:],
+                                             "measurements": _EQUATORIAL}},
 }
 
 MALFORMED = {
@@ -315,10 +321,10 @@ MALFORMED = {
     "amplitude-object": ["cde", "--settings", "{tmp}/object-amplitude.json", "--inequality", "t2"],
     "angle-string": ["evaluate", "--settings", "{tmp}/string-angle.json", "--json"],
     "amplitude-bool": ["evaluate", "--settings", "{tmp}/bool-amplitude.json"],
+    "amplitude-norm": ["cde", "--settings", "{tmp}/off-norm-amplitude.json",
+                       "--inequality", "svetlichny"],
     "seed-negative": ["mde", "--inequality", "t2", "--restarts", "1", "--seed", "-1",
                       "--out", "{tmp}/probe.json"],
-    "penalty-nan": ["mde", "--inequality", "t2", "--restarts", "1", "--penalty-weight", "nan",
-                    "--out", "{tmp}/probe.json"],
 }
 
 

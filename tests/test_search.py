@@ -5,17 +5,24 @@ import pytest
 
 from tribell import search
 from tribell.detector import EfficiencyTriple, observe
-from tribell.errors import SearchFailureError
+from tribell.errors import NoViolationError, SearchFailureError
 from tribell.families import NoiseLevel, ThetaSetting, ghz_setting, theta_measurements, theta_state
 from tribell.inequality import (
     svetlichny_coefficients,
     svetlichny_cutoff,
     t2_cutoff_symmetric,
+    t2_triple_and_pair_sums,
     t2_value,
 )
 from conftest import random_settings, random_state
 from tribell.inequality import SVETLICHNY_FORM, T2_FORMS
-from tribell.qcore import behavior_from_settings, density_from_pure, pure_behavior_probabilities
+from tribell.qcore import (
+    VIOLATION_TOL,
+    PureState,
+    behavior_from_settings,
+    density_from_pure,
+    pure_behavior_probabilities,
+)
 from tribell.search import (
     SearchConfig,
     SettingsParameterization,
@@ -61,6 +68,16 @@ class TestSettingsParameterization:
         with pytest.raises(ValueError):
             SettingsParameterization(np.zeros(15), np.zeros(12))
 
+    def test_to_state_keeps_a_normalized_eigenvector(self, rng):
+        # the search stores its top eigenvectors divided by their norm once;
+        # dividing again would move the last bits of about a fifth of them
+        for _ in range(2000):
+            m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            vector = np.linalg.eigh(m + m.conj().T)[1][:, -1]
+            state = PureState(vector / np.linalg.norm(vector))
+            params = SettingsParameterization.from_quantum(state, random_settings(rng))
+            assert params.to_state().amplitudes.tobytes() == state.amplitudes.tobytes()
+
 
 class TestObjectives:
     """The search objectives read the same cutoffs as the public path."""
@@ -81,13 +98,34 @@ class TestObjectives:
             assert search._t2_objective(vec, 1.0) == pytest.approx(
                 t2_cutoff_symmetric(tensor_of(vec)), abs=1e-12)
 
+    def test_svetlichny_margin_at_the_floor_is_no_violation(self):
+        # on the line from z-only measurements to the GHZ angles, t is where
+        # the margin alpha + beta - gamma is 3.8e-10: above 1e-10, below the
+        # verdicts' VIOLATION_TOL, so the public cutoff refuses it
+        ghz = SettingsParameterization.from_quantum(*ghz_setting())
+        vec = np.concatenate([ghz.state_coords, 0.8903763805050405 * ghz.measurement_angles])
+        coefficients = svetlichny_coefficients(tensor_of(vec))
+        assert 1e-10 < coefficients.violation_margin <= VIOLATION_TOL
+        assert search._svetlichny_objective(vec, 1.0) >= 1.0
+        with pytest.raises(NoViolationError):
+            svetlichny_cutoff(coefficients)
+
+    def test_t2_margin_at_the_floor_is_no_violation(self):
+        # just below theta = pi/3, T - Q = 3.9e-10 with T = 1.35
+        setting = ThetaSetting(np.pi / 3 - 5e-10)
+        vec = SettingsParameterization.from_quantum(
+            theta_state(setting), theta_measurements(setting)).as_vector()
+        tensor = tensor_of(vec)
+        triple, pair = t2_triple_and_pair_sums(tensor)
+        assert 0.0 < triple - pair <= VIOLATION_TOL
+        assert search._t2_objective(vec, 1.0) >= 1.0
+        assert not t2_value(tensor).violated
+
 
 class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
-        with pytest.raises(ValueError):
-            SearchConfig(restarts=1, convergence_tol=0.0)
 
 
 def quadratic_12d():

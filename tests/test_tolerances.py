@@ -70,3 +70,24 @@ def test_tolerance_literals_live_in_the_table():
                     and 0.0 < node.value <= 1e-6 and node.lineno not in table):
                 stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not stray, "tolerance literals outside the table of qcore: " + ", ".join(stray)
+
+
+def test_every_table_entry_is_used():
+    # a tolerance that nothing reads is a dead rule; drop it from the table
+    package = pathlib.Path(tribell.__file__).parent
+    qcore_lines = (package / "qcore.py").read_text().splitlines()
+    first = next(i for i, line in enumerate(qcore_lines, 1)
+                 if line.startswith("# Tolerance table."))
+    last = qcore_lines.index("# end of the tolerance table") + 1
+    defined, used = set(), set()
+    for path in sorted(package.glob("*.py")):
+        table = range(first, last) if path.name == "qcore.py" else range(0)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Name):
+                continue
+            if node.lineno not in table:
+                used.add(node.id)
+            elif isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    assert len(defined) > 10
+    assert not defined - used, f"tolerances nothing reads: {sorted(defined - used)}"

@@ -51,8 +51,7 @@ FIELDS = [
                 "future_outputs": ((1, 0), (0, 0)), "solo_outputs": (1, 1)}),
     (SettingsParameterization, {"state_coords": PARAMS.state_coords,
                                 "measurement_angles": PARAMS.measurement_angles}),
-    (SearchConfig, {"restarts": 3, "seed": 5, "max_iterations": 40, "convergence_tol": 1e-9,
-                    "penalty_weight": 2.0}),
+    (SearchConfig, {"restarts": 3, "seed": 5, "max_iterations": 40}),
     (SearchResult, {"best_eta": 0.75, "best_settings": PARAMS, "restart_values": (0.75, 1.2),
                     "violating_restarts": 1, "nfev": (10, 12), "nit": (4, 5),
                     "status": ("converged", "stalled"), "restart_s": (0.01, 0.02)}),
@@ -79,8 +78,7 @@ def test_keyword_and_positional_construction(cls, fields):
 def test_defaults():
     assert QubitMeasurement(polar=0.6).azimuth == 0.0
     cfg = SearchConfig(restarts=1)
-    assert (cfg.seed, cfg.max_iterations, cfg.convergence_tol, cfg.penalty_weight) == (
-        0, 6000, 1e-12, 1.0)
+    assert (cfg.seed, cfg.max_iterations) == (0, 6000)
 
 
 def test_validated_arrays_are_read_only():
