@@ -5,121 +5,75 @@ detectors (no-click recorded as outcome 1), the cutoff efficiencies at
 which fixed quantum settings certify genuine nonlocality, the minimum
 efficiencies over all settings, white-noise robustness sweeps, and exact
 brute-force verification of the classical bounds.
+
+The public names are loaded lazily (PEP 562): ``import tribell`` imports
+no numeric module, so the command line can reject malformed input before
+numpy loads.  The first read of a name imports the module that defines it.
 """
 
-from .detector import EfficiencyTriple, observe
-from .errors import (
-    CrossCheckError,
-    DegenerateCoefficientsError,
-    MarginalInconsistencyError,
-    NormalizationError,
-    NoViolationError,
-    SearchFailureError,
-    TribellError,
-)
-from .families import (
-    GHZ_OPTIMAL_AZIMUTHS,
-    NoiseLevel,
-    ThetaSetting,
-    ghz_setting,
-    ghz_state,
-    mix_white_noise,
-    theta_measurements,
-    theta_state,
-)
-from .inequality import (
-    InequalityValue,
-    SvetlichnyCoefficients,
-    critical_third_efficiency,
-    efficiencies_admit_violation,
-    svetlichny_coefficients,
-    svetlichny_corr_value,
-    svetlichny_cutoff,
-    t2_cutoff_symmetric,
-    t2_value,
-    theta_violation_threshold,
-)
-from .polytope import (
-    BilocalVertex,
-    T2Vertex,
-    classical_max,
-    enumerate_svetlichny_vertices,
-    enumerate_t2_vertices,
-    vertex_to_behavior,
-)
-from .qcore import (
-    BehaviorTensor,
-    DensityMatrix,
-    PureState,
-    QubitMeasurement,
-    SettingsTriple,
-    behavior_from_settings,
-    density_from_pure,
-    projector,
-    uniform_behavior,
-)
-from .search import (
-    SearchConfig,
-    SearchResult,
-    SettingsParameterization,
-    SweepRow,
-    minimize_svetlichny_cutoff,
-    minimize_t2_cutoff,
-    noisy_t2_min_efficiency,
-    sweep_t2_noise,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BehaviorTensor",
-    "BilocalVertex",
-    "CrossCheckError",
-    "DegenerateCoefficientsError",
-    "DensityMatrix",
-    "EfficiencyTriple",
-    "GHZ_OPTIMAL_AZIMUTHS",
-    "InequalityValue",
-    "MarginalInconsistencyError",
-    "NoViolationError",
-    "NoiseLevel",
-    "NormalizationError",
-    "PureState",
-    "QubitMeasurement",
-    "SearchConfig",
-    "SearchFailureError",
-    "SearchResult",
-    "SettingsParameterization",
-    "SettingsTriple",
-    "SvetlichnyCoefficients",
-    "SweepRow",
-    "T2Vertex",
-    "ThetaSetting",
-    "TribellError",
-    "behavior_from_settings",
-    "classical_max",
-    "critical_third_efficiency",
-    "density_from_pure",
-    "efficiencies_admit_violation",
-    "enumerate_svetlichny_vertices",
-    "enumerate_t2_vertices",
-    "ghz_setting",
-    "ghz_state",
-    "minimize_svetlichny_cutoff",
-    "minimize_t2_cutoff",
-    "mix_white_noise",
-    "noisy_t2_min_efficiency",
-    "observe",
-    "projector",
-    "svetlichny_coefficients",
-    "svetlichny_corr_value",
-    "svetlichny_cutoff",
-    "sweep_t2_noise",
-    "t2_cutoff_symmetric",
-    "t2_value",
-    "theta_measurements",
-    "theta_state",
-    "theta_violation_threshold",
-    "uniform_behavior",
-    "vertex_to_behavior",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "BehaviorTensor": "qcore",
+    "BilocalVertex": "polytope",
+    "CrossCheckError": "errors",
+    "DegenerateCoefficientsError": "errors",
+    "DensityMatrix": "qcore",
+    "EfficiencyTriple": "inputs",
+    "GHZ_OPTIMAL_AZIMUTHS": "families",
+    "InequalityValue": "inequality",
+    "MarginalInconsistencyError": "errors",
+    "NoViolationError": "errors",
+    "NoiseLevel": "inputs",
+    "NormalizationError": "errors",
+    "PureState": "qcore",
+    "QubitMeasurement": "qcore",
+    "SearchConfig": "inputs",
+    "SearchFailureError": "errors",
+    "SearchResult": "search",
+    "SettingsParameterization": "search",
+    "SettingsTriple": "qcore",
+    "SvetlichnyCoefficients": "inequality",
+    "SweepRow": "search",
+    "T2Vertex": "polytope",
+    "ThetaSetting": "families",
+    "TribellError": "errors",
+    "behavior_from_settings": "qcore",
+    "classical_max": "polytope",
+    "critical_third_efficiency": "inequality",
+    "density_from_pure": "qcore",
+    "efficiencies_admit_violation": "inequality",
+    "enumerate_svetlichny_vertices": "polytope",
+    "enumerate_t2_vertices": "polytope",
+    "ghz_setting": "families",
+    "ghz_state": "families",
+    "minimize_svetlichny_cutoff": "search",
+    "minimize_t2_cutoff": "search",
+    "mix_white_noise": "families",
+    "noisy_t2_min_efficiency": "search",
+    "observe": "detector",
+    "projector": "qcore",
+    "svetlichny_coefficients": "inequality",
+    "svetlichny_corr_value": "inequality",
+    "svetlichny_cutoff": "inequality",
+    "sweep_t2_noise": "search",
+    "t2_cutoff_symmetric": "inequality",
+    "t2_value": "inequality",
+    "theta_measurements": "families",
+    "theta_state": "families",
+    "theta_violation_threshold": "inequality",
+    "uniform_behavior": "qcore",
+    "vertex_to_behavior": "polytope",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

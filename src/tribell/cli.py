@@ -10,6 +10,16 @@ Subcommands:
   best settings for independent re-verification;
 * ``sweep``          - (theta, p, eta_min) CSV over a parameter grid.
 
+A command runs in two stages.  The input stage uses the standard library
+alone: it parses argv and checks every input that needs no numerics
+(``--p``, ``--eta``, the ``mde`` search settings, the grid text, the
+settings file's JSON schema with its ``noise_p`` and ``efficiencies``,
+and the ``--out`` path), so a malformed invocation exits before numpy is
+imported.  The numeric stage (`_numeric_stage`) then imports every
+numeric module in one step, builds the states and tensors and computes.
+Domains that a numeric type checks, ``--theta`` and the points of the
+sweep grids, are rejected there.
+
 All angles are radians.  Exit codes: 0 success, 1 verification or
 violation-expectation failure, 2 usage or parse error.
 """
@@ -19,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -27,57 +38,77 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .detector import EfficiencyTriple, observe
 from .errors import NormalizationError, NoViolationError, TribellError
-from .families import (
-    GHZ_OPTIMAL_AZIMUTHS,
-    NoiseLevel,
-    ThetaSetting,
-    ghz_setting,
-    mix_white_noise,
-    theta_measurements,
-    theta_state,
-)
-from .inequality import (
-    svetlichny_coefficients,
-    svetlichny_corr_value,
-    svetlichny_cutoff,
-    t2_cutoff_symmetric,
-    t2_triple_and_pair_sums,
-    t2_value,
-)
-from .polytope import classical_max, enumerate_svetlichny_vertices, enumerate_t2_vertices
-from .qcore import (
-    BehaviorTensor,
-    PureState,
-    SettingsTriple,
-    behavior_from_settings,
-    density_from_pure,
-)
-from .search import (
-    SearchConfig,
-    SettingsParameterization,
-    minimize_svetlichny_cutoff,
-    minimize_t2_cutoff,
-    sweep_t2_noise,
-)
+from .inputs import EfficiencyTriple, NoiseLevel, SearchConfig
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+
+# the names the numeric stage binds as globals of this module
+_NUMERIC_NAMES = (
+    "np",
+    "observe",
+    "ThetaSetting", "ghz_setting", "mix_white_noise", "theta_measurements", "theta_state",
+    "svetlichny_coefficients", "svetlichny_corr_value", "svetlichny_cutoff",
+    "t2_cutoff_symmetric", "t2_triple_and_pair_sums", "t2_value",
+    "classical_max", "enumerate_svetlichny_vertices", "enumerate_t2_vertices",
+    "PureState", "SettingsTriple", "behavior_from_settings", "density_from_pure",
+    "SettingsParameterization", "minimize_svetlichny_cutoff", "minimize_t2_cutoff",
+    "sweep_t2_noise",
+)
+
+
+def _numeric_stage() -> None:
+    """Import every numeric module in one step and bind the names the
+    commands use as globals of this module.
+
+    Commands look these names up when they are called, so a replacement
+    set on this module (a test's fake, a tracer's wrapper) is what they
+    call; once bound, the names are not bound again.
+    """
+    if "np" in globals():
+        return
+    import numpy as np
+
+    from .detector import observe
+    from .families import (ThetaSetting, ghz_setting, mix_white_noise, theta_measurements,
+                           theta_state)
+    from .inequality import (svetlichny_coefficients, svetlichny_corr_value, svetlichny_cutoff,
+                             t2_cutoff_symmetric, t2_triple_and_pair_sums, t2_value)
+    from .polytope import classical_max, enumerate_svetlichny_vertices, enumerate_t2_vertices
+    from .qcore import PureState, SettingsTriple, behavior_from_settings, density_from_pure
+    from .search import (SettingsParameterization, minimize_svetlichny_cutoff, minimize_t2_cutoff,
+                         sweep_t2_noise)
+    loaded = locals()  # the imports above
+    globals().update((name, loaded[name]) for name in _NUMERIC_NAMES)
+
+
+def __getattr__(name: str):
+    """A numeric name read from this module before any command ran (such
+    as ``tribell.cli.classical_max``) runs the numeric stage first."""
+    if name not in _NUMERIC_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _numeric_stage()
+    return globals()[name]
 
 
 class SettingsFileError(TribellError):
     """Settings file fails schema validation."""
 
 
-class SettingsSpec(NamedTuple):
-    """Parsed settings file: quantum setting plus optional noise/efficiencies."""
+# ---------------------------------------------------------------------------
+# input stage: standard library only
 
-    state: PureState
-    settings: SettingsTriple
+class SettingsInput(NamedTuple):
+    """A settings source as the input stage checked it, in plain numbers.
+
+    ``source`` is ``("theta", theta)``, ``("ghz",)`` (the optimal
+    azimuths), ``("ghz", azimuths)`` or ``("explicit", amplitude pairs,
+    angle pairs)``; `build_settings` makes the state and settings of it.
+    """
+
+    source: tuple
     noise: NoiseLevel | None
     etas: EfficiencyTriple | None
     payload: dict
@@ -106,17 +137,17 @@ def _finite(value) -> float:
         number = float(value)
     except OverflowError as exc:
         raise SettingsFileError(f"number out of range: {exc}") from exc
-    _require(np.isfinite(number), f"number {value!r} is not finite")
+    _require(math.isfinite(number), f"number {value!r} is not finite")
     return number
 
 
-def _pairs(raw, count: int, what: str, pair: str) -> np.ndarray:
-    """``count`` JSON lists of two numbers, as a (count, 2) float array."""
+def _pairs(raw, count: int, what: str, pair: str) -> list[list[float]]:
+    """``count`` JSON lists of two numbers, as ``count`` lists of two floats."""
     _require(isinstance(raw, list) and len(raw) == count,
              f"explicit {what} must list {count} {pair} pairs")
     for i, entry in enumerate(raw):
         _require(isinstance(entry, list) and len(entry) == 2, f"{what} entry {i} must be {pair}")
-    return np.array([[_finite(entry[0]), _finite(entry[1])] for entry in raw])
+    return [[_finite(entry[0]), _finite(entry[1])] for entry in raw]
 
 
 @contextmanager
@@ -136,12 +167,12 @@ def _usage_errors(context: str):
         raise SettingsFileError(f"{context}: {exc}") from exc
 
 
-def parse_settings_payload(payload: dict) -> SettingsSpec:
+def check_settings_payload(payload: dict) -> SettingsInput:
     with _usage_errors("invalid settings"):
-        return _parse_settings_payload(payload)
+        return _check_settings_payload(payload)
 
 
-def _parse_settings_payload(payload: dict) -> SettingsSpec:
+def _check_settings_payload(payload: dict) -> SettingsInput:
     _require(isinstance(payload, dict), "settings must be a JSON object")
     has_family = "family" in payload
     has_explicit = "explicit" in payload
@@ -157,12 +188,13 @@ def _parse_settings_payload(payload: dict) -> SettingsSpec:
         _require(isinstance(params, dict), "'parameters' must be an object")
         if fam["name"] == "theta":
             _require("theta" in params, "theta family needs parameters.theta (radians)")
-            setting = ThetaSetting(_finite(params["theta"]))
-            state, settings = theta_state(setting), theta_measurements(setting)
+            source = ("theta", _finite(params["theta"]))
         elif fam["name"] == "ghz":
-            azimuths = params.get("azimuths", list(GHZ_OPTIMAL_AZIMUTHS))
-            _require(len(azimuths) == 6, "ghz family needs 6 azimuths (radians)")
-            state, settings = ghz_setting([_finite(v) for v in azimuths])
+            source = ("ghz",)
+            if "azimuths" in params:
+                azimuths = params["azimuths"]
+                _require(len(azimuths) == 6, "ghz family needs 6 azimuths (radians)")
+                source += ([_finite(v) for v in azimuths],)
         else:
             raise SettingsFileError(f"unknown family name {fam['name']!r}")
     else:
@@ -170,13 +202,8 @@ def _parse_settings_payload(payload: dict) -> SettingsSpec:
         _require(isinstance(exp, dict), "'explicit' must be an object")
         _require(set(exp) == {"state", "measurements"},
                  "'explicit' needs exactly 'state' and 'measurements'")
-        amps = _pairs(exp["state"], 8, "state", "[re, im]")
-        try:  # a state off unit norm is a malformed value, not a failed check
-            state = PureState(amps[:, 0] + 1j * amps[:, 1])
-        except NormalizationError as exc:
-            raise SettingsFileError(f"invalid settings: {exc}") from exc
-        settings = SettingsTriple.from_angles(
-            _pairs(exp["measurements"], 6, "measurements", "[polar, azimuth]"))
+        source = ("explicit", _pairs(exp["state"], 8, "state", "[re, im]"),
+                  _pairs(exp["measurements"], 6, "measurements", "[polar, azimuth]"))
 
     noise = None
     if "noise_p" in payload:
@@ -186,36 +213,37 @@ def _parse_settings_payload(payload: dict) -> SettingsSpec:
         eff = payload["efficiencies"]
         _require(len(eff) == 3, "'efficiencies' must list [eta_a, eta_b, eta_c]")
         etas = EfficiencyTriple(*(_finite(v) for v in eff))
-    return SettingsSpec(state=state, settings=settings, noise=noise, etas=etas, payload=payload)
+    return SettingsInput(source=source, noise=noise, etas=etas, payload=payload)
 
 
-def load_settings(path: str) -> SettingsSpec:
+def load_settings(path: str) -> SettingsInput:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise SettingsFileError(f"cannot read settings file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SettingsFileError(f"settings file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SettingsFileError(f"settings file {path} is not valid JSON: {exc}") from exc
-    return parse_settings_payload(payload)
+    except RecursionError as exc:
+        raise SettingsFileError(f"settings file {path} nests too deeply: {exc}") from exc
+    return check_settings_payload(payload)
 
 
-def explicit_payload(state: PureState, settings: SettingsTriple) -> dict:
-    params = SettingsParameterization.from_quantum(state, settings)
-    return {"explicit": {"state": params.state_coords.reshape(8, 2).tolist(),
-                         "measurements": params.measurement_angles.reshape(6, 2).tolist()}}
-
-
-def spec_from_flags(args) -> SettingsSpec:
+def check_settings_flags(args) -> SettingsInput:
+    """The settings of ``evaluate`` and ``cde``: a file or ``--theta``, with
+    ``--p`` and ``--eta`` in place of the file's ``noise_p`` and
+    ``efficiencies``."""
     if (args.settings is None) == (args.theta is None):
         raise SettingsFileError("provide exactly one of --settings or --theta")
     if args.settings is not None:
-        spec = load_settings(args.settings)
+        checked = load_settings(args.settings)
     else:
         payload = {"family": {"name": "theta", "parameters": {"theta": args.theta}}}
-        spec = parse_settings_payload(payload)
-    payload = dict(spec.payload)
-    noise, etas = spec.noise, spec.etas
+        checked = check_settings_payload(payload)
+    payload = dict(checked.payload)
+    noise, etas = checked.noise, checked.etas
     if args.p is not None:
         with _usage_errors("invalid --p"):
             noise = NoiseLevel(args.p)
@@ -227,7 +255,90 @@ def spec_from_flags(args) -> SettingsSpec:
                 raise SettingsFileError("--eta needs three comma-separated values")
             etas = EfficiencyTriple(*parts)
         payload["efficiencies"] = parts
-    return SettingsSpec(spec.state, spec.settings, noise, etas, payload)
+    return SettingsInput(checked.source, noise, etas, payload)
+
+
+def parse_grid(text: str, name: str) -> tuple[float, float, int]:
+    """``lo:hi:n`` as the arguments of ``np.linspace``."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise SettingsFileError(f"--{name} must be lo:hi:n")
+    with _usage_errors(f"invalid --{name}"):
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if n < 1 or hi < lo:
+        raise SettingsFileError(f"--{name} has an empty or inverted range")
+    return lo, hi, n
+
+
+def check_out_path(path: str) -> str:
+    """An output path whose directory exists and that is not a directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise SettingsFileError(f"cannot write {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise SettingsFileError(f"cannot write {path}: it is a directory")
+    return path
+
+
+def check_mde(args) -> tuple[SearchConfig, str]:
+    with _usage_errors("invalid search settings"):
+        cfg = SearchConfig(restarts=args.restarts, seed=args.seed,
+                           max_iterations=args.max_iterations)
+    return cfg, check_out_path(args.out or f"mde-{args.inequality}-settings.json")
+
+
+def check_sweep(args) -> tuple[tuple, tuple]:
+    theta_grid = parse_grid(args.theta_grid, "theta-grid")
+    p_grid = parse_grid(args.p_grid, "p-grid")
+    check_out_path(args.out)
+    return theta_grid, p_grid
+
+
+# ---------------------------------------------------------------------------
+# numeric stage
+
+class SettingsSpec(NamedTuple):
+    """Parsed settings file: quantum setting plus optional noise/efficiencies."""
+
+    state: PureState
+    settings: SettingsTriple
+    noise: NoiseLevel | None
+    etas: EfficiencyTriple | None
+    payload: dict
+
+
+def build_settings(checked: SettingsInput) -> SettingsSpec:
+    """The state and settings of a checked source.  ``ThetaSetting`` checks
+    theta's domain and ``PureState`` the state's norm; both are usage
+    errors.  Callable outside `main`, so it runs the numeric stage itself."""
+    _numeric_stage()
+    kind, *values = checked.source
+    with _usage_errors("invalid settings"):
+        if kind == "theta":
+            setting = ThetaSetting(*values)
+            state, settings = theta_state(setting), theta_measurements(setting)
+        elif kind == "ghz":
+            state, settings = ghz_setting(*values)
+        else:
+            amplitudes, angles = values
+            amps = np.array(amplitudes)
+            try:  # a state off unit norm is a malformed value, not a failed check
+                state = PureState(amps[:, 0] + 1j * amps[:, 1])
+            except NormalizationError as exc:
+                raise SettingsFileError(f"invalid settings: {exc}") from exc
+            settings = SettingsTriple.from_angles(angles)
+    return SettingsSpec(state, settings, checked.noise, checked.etas, checked.payload)
+
+
+def parse_settings_payload(payload: dict) -> SettingsSpec:
+    return build_settings(check_settings_payload(payload))
+
+
+def explicit_payload(state: PureState, settings: SettingsTriple) -> dict:
+    _numeric_stage()
+    params = SettingsParameterization.from_quantum(state, settings)
+    return {"explicit": {"state": params.state_coords.reshape(8, 2).tolist(),
+                         "measurements": params.measurement_angles.reshape(6, 2).tolist()}}
 
 
 def ideal_tensor(spec: SettingsSpec) -> BehaviorTensor:
@@ -265,33 +376,27 @@ def emit(args, record: dict, human_lines) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in its directory;
+    a write the system refuses is a usage error."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tribell-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def parse_grid(text: str, name: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SettingsFileError(f"--{name} must be lo:hi:n")
-    with _usage_errors(f"invalid --{name}"):
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1 or hi < lo:
-        raise SettingsFileError(f"--{name} has an empty or inverted range")
-    return np.linspace(lo, hi, n)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tribell-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise SettingsFileError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_bounds_verify(args) -> int:
+def cmd_bounds_verify(args, inputs: None) -> int:
     if args.inequality == "svetlichny":
         vertices = enumerate_svetlichny_vertices()
         maximum = classical_max("svetlichny_corr", vertices)
@@ -313,8 +418,8 @@ def cmd_bounds_verify(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    spec = spec_from_flags(args)
+def cmd_evaluate(args, checked: SettingsInput) -> int:
+    spec = build_settings(checked)
     tensors = {"ideal": ideal_tensor(spec)}
     if spec.etas is not None:
         tensors["observed"] = observe(tensors["ideal"], spec.etas)
@@ -328,8 +433,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_cde(args) -> int:
-    spec = spec_from_flags(args)
+def cmd_cde(args, checked: SettingsInput) -> int:
+    spec = build_settings(checked)
     tensor = ideal_tensor(spec)
     if args.inequality == "svetlichny":
         coeffs = svetlichny_coefficients(tensor)
@@ -359,13 +464,10 @@ def cmd_cde(args) -> int:
     return 0
 
 
-def cmd_mde(args) -> int:
-    with _usage_errors("invalid search settings"):
-        cfg = SearchConfig(restarts=args.restarts, seed=args.seed,
-                           max_iterations=args.max_iterations)
+def cmd_mde(args, inputs: tuple[SearchConfig, str]) -> int:
+    cfg, out_path = inputs
     runner = minimize_svetlichny_cutoff if args.inequality == "svetlichny" else minimize_t2_cutoff
     result = runner(cfg)
-    out_path = args.out or f"mde-{args.inequality}-settings.json"
     dump = explicit_payload(result.best_settings.to_state(), result.best_settings.to_settings())
     atomic_write_text(out_path, json.dumps(dump, indent=2, sort_keys=True) + "\n")
     payload = {"inequality": args.inequality, "restarts": args.restarts, "seed": args.seed}
@@ -378,6 +480,8 @@ def cmd_mde(args) -> int:
         "restart_values": {"min": min(values), "median": float(np.median(values)),
                            "max": max(values)},
         "converged_restarts": converged,
+        "status_counts": {status: result.status.count(status)
+                          for status in ("converged", "stalled", "budget")},
         "nfev": sum(result.nfev),
     }
     lines = [
@@ -390,9 +494,8 @@ def cmd_mde(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    theta_grid = parse_grid(args.theta_grid, "theta-grid")
-    p_grid = parse_grid(args.p_grid, "p-grid")
+def cmd_sweep(args, grids: tuple[tuple, tuple]) -> int:
+    theta_grid, p_grid = (np.linspace(*grid) for grid in grids)
     with _usage_errors("invalid sweep grid"):
         rows = sweep_t2_noise(theta_grid, p_grid)
     # rows run over every theta at each p in turn, so each grid value's
@@ -434,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = bounds_sub.add_parser("verify", help="enumerate vertices and check the bound")
     verify.add_argument("--inequality", choices=("t2", "svetlichny"), required=True)
     verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=cmd_bounds_verify)
+    verify.set_defaults(check=lambda args: None, func=cmd_bounds_verify)
 
     def add_settings_flags(p):
         p.add_argument("--settings", help="settings JSON file")
@@ -445,12 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="evaluate both inequalities")
     add_settings_flags(evaluate)
-    evaluate.set_defaults(func=cmd_evaluate)
+    evaluate.set_defaults(check=check_settings_flags, func=cmd_evaluate)
 
     cde = sub.add_parser("cde", help="cutoff efficiency of fixed settings")
     add_settings_flags(cde)
     cde.add_argument("--inequality", choices=("t2", "svetlichny"), required=True)
-    cde.set_defaults(func=cmd_cde)
+    cde.set_defaults(check=check_settings_flags, func=cmd_cde)
 
     mde = sub.add_parser("mde", help="minimize the cutoff over all settings")
     mde.add_argument("--inequality", choices=("t2", "svetlichny"), required=True)
@@ -459,14 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
     mde.add_argument("--max-iterations", type=int, default=6000)
     mde.add_argument("--out", help="path for the best-settings JSON dump")
     mde.add_argument("--json", action="store_true")
-    mde.set_defaults(func=cmd_mde)
+    mde.set_defaults(check=check_mde, func=cmd_mde)
 
     sweep = sub.add_parser("sweep", help="noise-robustness sweep CSV")
-    sweep.add_argument("--theta-grid", default=f"0.01:{np.pi/3}:200", help="lo:hi:n (radians)")
+    sweep.add_argument("--theta-grid", default=f"0.01:{math.pi/3}:200", help="lo:hi:n (radians)")
     sweep.add_argument("--p-grid", default="0:0.02:100", help="lo:hi:n")
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--json", action="store_true")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(check=check_sweep, func=cmd_sweep)
     return parser
 
 
@@ -478,7 +581,9 @@ def main(argv=None) -> int:
     args._argv = ["tribell"] + argv
     args._started = started
     try:
-        return args.func(args)
+        inputs = args.check(args)
+        _numeric_stage()
+        return args.func(args, inputs)
     except SettingsFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -12,26 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .inputs import EfficiencyTriple
 from .qcore import BehaviorTensor
-
-
-class EfficiencyTriple:
-    """Detector efficiencies (eta_a, eta_b, eta_c), each in [0, 1]."""
-
-    __slots__ = ("eta_a", "eta_b", "eta_c")
-
-    def __init__(self, eta_a: float, eta_b: float, eta_c: float):
-        for name, eta in zip(("eta_a", "eta_b", "eta_c"), (eta_a, eta_b, eta_c)):
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"{name} = {eta} is outside [0, 1]")
-        self.eta_a, self.eta_b, self.eta_c = eta_a, eta_b, eta_c
-
-    @classmethod
-    def symmetric(cls, eta: float) -> "EfficiencyTriple":
-        return cls(eta, eta, eta)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.eta_a, self.eta_b, self.eta_c)
 
 
 def observe(ideal: BehaviorTensor, etas: EfficiencyTriple) -> BehaviorTensor:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .inputs import NoiseLevel
 from .qcore import (
     SIN_FLOOR,
     DensityMatrix,
@@ -36,17 +37,6 @@ class ThetaSetting:
         """k with k^2 = sin^2(theta) / (3 sin^2(theta) + (1 - 3 cos(theta))^2)."""
         s, c = np.sin(self.theta), np.cos(self.theta)
         return float(np.sqrt(s * s / (3.0 * s * s + (1.0 - 3.0 * c) ** 2)))
-
-
-class NoiseLevel:
-    """White-noise mixing weight p in [0, 1]."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p = {p} must lie in [0, 1]")
-        self.p = p
 
 
 def theta_state(s: ThetaSetting) -> PureState:

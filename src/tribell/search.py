@@ -19,7 +19,7 @@ import numpy as np
 
 from .detector import observed_probabilities
 from .errors import CrossCheckError, SearchFailureError
-from .families import NoiseLevel, ThetaSetting, mix_white_noise, theta_measurements, theta_state
+from .families import ThetaSetting, mix_white_noise, theta_measurements, theta_state
 from .inequality import (
     SVETLICHNY_FORM,
     T2_FORMS,
@@ -33,6 +33,7 @@ from .inequality import (
     t2_cutoff_symmetric,
     t2_triple_and_pair_sums,
 )
+from .inputs import NoiseLevel, SearchConfig
 from .qcore import (
     CONVERGENCE_TOL, CROSSING_BRACKET, CUTOFF_ROUNDING, NORM_TOL, REVERIFY_TOL, VIOLATION_TOL,
     PureState,
@@ -86,24 +87,6 @@ class SettingsParameterization:
     @classmethod
     def from_quantum(cls, state: PureState, settings: SettingsTriple) -> "SettingsParameterization":
         return cls(state.amplitudes.view(float), settings.angles())
-
-
-class SearchConfig:
-    """Multi-start search settings.
-
-    ``max_iterations`` caps the BFGS iterations of each restart; a
-    restart that stops at the cap is reported with status ``budget`` and
-    does not count toward the result.  Both of `minimize`'s convergence
-    tests use ``CONVERGENCE_TOL``.
-    """
-
-    __slots__ = ("restarts", "seed", "max_iterations")
-
-    def __init__(self, restarts: int, seed: int = 0, max_iterations: int = 6000):
-        # a negated comparison, so that a NaN fails it
-        if not (restarts >= 1 and seed >= 0 and max_iterations >= 1):
-            raise ValueError("restarts and max_iterations must be >= 1 and seed >= 0")
-        self.restarts, self.seed, self.max_iterations = restarts, seed, max_iterations
 
 
 class SearchResult(NamedTuple):

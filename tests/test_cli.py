@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 import tribell
 from tribell import search
 from conftest import random_settings, random_state
-from tribell.cli import explicit_payload, main, parse_settings_payload, settings_digest
+from tribell.cli import (
+    SettingsFileError,
+    atomic_write_text,
+    explicit_payload,
+    main,
+    parse_settings_payload,
+    settings_digest,
+)
 from tribell.families import ghz_setting
 from tribell.qcore import PureState
 from tribell.search import sweep_t2_noise
@@ -151,6 +158,10 @@ class TestMde:
         assert values["min"] <= values["median"] <= values["max"]
         assert values["min"] == pytest.approx(outputs["best_eta"], abs=1e-9)
         assert outputs["converged_restarts"] == 3
+        counts = outputs["status_counts"]
+        assert sorted(counts) == ["budget", "converged", "stalled"]
+        assert sum(counts.values()) == 3
+        assert counts["budget"] == 3 - outputs["converged_restarts"]
         assert outputs["nfev"] >= 3
         # the diagnostics describe the run, not its inputs
         assert record["input_digest"] == settings_digest(
@@ -302,6 +313,9 @@ PROBE_SETTINGS = {
     "off-norm-amplitude.json": {"explicit": {"state": [[0.7, 0.0]] + _GOOD_STATE[1:],
                                              "measurements": _EQUATORIAL}},
 }
+# settings files written as bytes: not UTF-8, and nested deeper than the
+# JSON decoder's recursion limit
+PROBE_BYTES = {"not-utf8.json": b"\xff\xfe{}", "deep.json": b"[" * 10000 + b"]" * 10000}
 
 MALFORMED = {
     "theta-out-of-range": ["evaluate", "--theta", "4"],
@@ -325,6 +339,11 @@ MALFORMED = {
                        "--inequality", "svetlichny"],
     "seed-negative": ["mde", "--inequality", "t2", "--restarts", "1", "--seed", "-1",
                       "--out", "{tmp}/probe.json"],
+    "settings-not-utf8": ["evaluate", "--settings", "{tmp}/not-utf8.json"],
+    "settings-too-deep": ["evaluate", "--settings", "{tmp}/deep.json"],
+    "sweep-out-missing-directory": ["sweep", "--theta-grid", "0.3:0.6:2", "--p-grid", "0:0.01:2",
+                                    "--out", "{tmp}/missing/probe.csv"],
+    "mde-out-is-a-directory": ["mde", "--inequality", "t2", "--restarts", "1", "--out", "{tmp}"],
 }
 
 
@@ -332,11 +351,21 @@ MALFORMED = {
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
     for name, payload in PROBE_SETTINGS.items():
         (tmp_path / name).write_text(json.dumps(payload))
+    for name, data in PROBE_BYTES.items():
+        (tmp_path / name).write_bytes(data)
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines())
     assert "Traceback" not in err
     assert not (tmp_path / "probe.json").exists() and not (tmp_path / "probe.csv").exists()
+
+
+def test_refused_write_is_a_usage_error(tmp_path):
+    # the input stage checks the directory, but a write can still fail
+    (tmp_path / "file").write_text("")
+    with pytest.raises(SettingsFileError, match="cannot write"):
+        atomic_write_text(str(tmp_path / "file" / "out.csv"), "text")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 # Fuzz of the settings-file parser: recursive JSON with keys drawn from the

@@ -1,29 +1,43 @@
-"""Cold start: no command imports scipy, and importing the CLI does not
-import dataclasses, whose classes generate their methods with exec.
+"""Cold start: no command imports scipy; importing the CLI does not
+import dataclasses, whose classes generate their methods with exec; and
+the input stage rejects malformed input before numpy is imported.
 
-Each check runs in a fresh interpreter, because this test process may
-already have either module loaded.
+Each check of ``sys.modules`` runs in a fresh interpreter, because this
+test process may already have the module loaded.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
+
+import tribell
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs the argv lists given as JSON in argv[1] through tribell.cli.main, then
-# prints, per command, its exit code and whether scipy was loaded after it
+# prints, per command, its exit code and whether the module named in argv[2]
+# was loaded after it
 RUN_COMMANDS = """
 import json, sys
 from tribell.cli import main
 results = []
 for argv in json.loads(sys.argv[1]):
-    code = main(argv)
-    results.append([code, "scipy" in sys.modules])
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    results.append([code, sys.argv[2] in sys.modules])
 print(json.dumps(results))
 """
+
+NUMERIC_MODULES = ["tribell.detector", "tribell.families", "tribell.inequality",
+                   "tribell.polytope", "tribell.qcore", "tribell.search"]
 
 
 def fresh_python(tmp_path, *args) -> str:
@@ -34,8 +48,8 @@ def fresh_python(tmp_path, *args) -> str:
     return done.stdout.strip().splitlines()[-1]
 
 
-def run_commands(tmp_path, *commands) -> list:
-    return json.loads(fresh_python(tmp_path, "-c", RUN_COMMANDS, json.dumps(commands)))
+def run_commands(tmp_path, *commands, watched="scipy") -> list:
+    return json.loads(fresh_python(tmp_path, "-c", RUN_COMMANDS, json.dumps(commands), watched))
 
 
 def test_import_leaves_scipy_out(tmp_path):
@@ -74,3 +88,50 @@ def test_mde_leaves_scipy_out(tmp_path):
          "--out", "mde.json"],
     )
     assert results == [[0, False]]
+
+
+def test_malformed_input_exits_before_numpy_loads(tmp_path):
+    for module in ("tribell", "tribell.cli"):
+        loaded = fresh_python(tmp_path, "-c",
+                              f"import sys, {module}; print('numpy' in sys.modules)")
+        assert loaded == "False", module
+    (tmp_path / "bad-state.json").write_text(json.dumps(
+        {"explicit": {"state": 5, "measurements": [[0.0, 0.0]] * 6}}))
+    results = run_commands(
+        tmp_path,
+        ["--help"],
+        ["evaluate", "--theta", "0.3", "--eta", "a,b,c"],
+        ["evaluate", "--theta", "0.3", "--eta", "1.2,1,1"],
+        ["evaluate", "--theta", "0.3", "--p", "nan"],
+        ["mde", "--inequality", "t2", "--restarts", "0"],
+        ["evaluate", "--settings", "bad-state.json"],
+        watched="numpy",
+    )
+    assert results == [[0, False]] + [[2, False]] * 5
+
+
+def test_a_command_loads_every_numeric_module(tmp_path):
+    script = ("import json, sys\n"
+              "from tribell.cli import main\n"
+              "before = sorted(m for m in sys.modules if m.startswith('tribell.'))\n"
+              "code = main(['evaluate', '--theta', '0.3'])\n"
+              "after = sorted(m for m in sys.modules if m.startswith('tribell.'))\n"
+              "print(json.dumps([code, before, after]))")
+    code, before, after = json.loads(fresh_python(tmp_path, "-c", script))
+    assert code == 0
+    assert not set(NUMERIC_MODULES) & set(before)
+    assert set(NUMERIC_MODULES) <= set(after)
+
+
+def test_public_names_resolve_to_their_definitions():
+    for name in tribell.__all__:
+        value = getattr(tribell, name)
+        if isinstance(value, (type, types.FunctionType)):
+            home = importlib.import_module(value.__module__)
+            assert home.__name__.startswith("tribell."), name
+        else:  # a constant: the one numeric module that holds it
+            (home,) = [m for m in map(importlib.import_module, NUMERIC_MODULES)
+                       if getattr(m, name, None) is value]
+        assert getattr(home, name) is value, name
+    with pytest.raises(AttributeError):
+        getattr(tribell, "no_such_name")
