@@ -11,14 +11,16 @@ Subcommands:
 * ``sweep``          - (theta, p, eta_min) CSV over a parameter grid.
 
 A command runs in two stages.  The input stage uses the standard library
-alone: it parses argv and checks every input that needs no numerics
-(``--p``, ``--eta``, the ``mde`` search settings, the grid text, the
+alone: it parses argv and checks every input domain (``--theta`` and a
+settings file's ``parameters.theta``, ``--p``, ``--eta``, the ``mde``
+search settings, the grid text and the endpoints of both grids, the
 settings file's JSON schema with its ``noise_p`` and ``efficiencies``,
 and the ``--out`` path), so a malformed invocation exits before numpy is
 imported.  The numeric stage (`_numeric_stage`) then imports every
 numeric module in one step, builds the states and tensors and computes.
-Domains that a numeric type checks, ``--theta`` and the points of the
-sweep grids, are rejected there.
+It rejects only what the numeric types check: a state whose norm is off
+1 (``PureState``) and theta within ``SIN_FLOOR`` of 0 or pi
+(``ThetaSetting``).
 
 All angles are radians.  Exit codes: 0 success, 1 verification or
 violation-expectation failure, 2 usage or parse error.
@@ -27,7 +29,6 @@ violation-expectation failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -35,12 +36,11 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from typing import NamedTuple
 
 from . import __version__
 from .errors import NormalizationError, NoViolationError, TribellError
-from .inputs import EfficiencyTriple, NoiseLevel, SearchConfig
+from .inputs import EfficiencyTriple, NoiseLevel, SearchConfig, check_theta
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -119,6 +119,8 @@ def _canonical_bytes(payload: dict) -> bytes:
 
 
 def settings_digest(payload: dict) -> str:
+    import hashlib  # here, not at module import: it loads OpenSSL
+
     return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
 
 
@@ -255,6 +257,9 @@ def check_settings_flags(args) -> SettingsInput:
                 raise SettingsFileError("--eta needs three comma-separated values")
             etas = EfficiencyTriple(*parts)
         payload["efficiencies"] = parts
+    if checked.source[0] == "theta":  # after the flags, whose errors are reported first
+        with _usage_errors("invalid settings"):
+            check_theta(checked.source[1])
     return SettingsInput(checked.source, noise, etas, payload)
 
 
@@ -288,9 +293,17 @@ def check_mde(args) -> tuple[SearchConfig, str]:
 
 
 def check_sweep(args) -> tuple[tuple, tuple]:
+    """The grids and the output path.  The grids' endpoints are checked
+    theta first, as `sweep_t2_noise` checks every point; ``np.linspace``
+    ends a grid of one point at ``lo``."""
     theta_grid = parse_grid(args.theta_grid, "theta-grid")
     p_grid = parse_grid(args.p_grid, "p-grid")
     check_out_path(args.out)
+    with _usage_errors("invalid sweep grid"):
+        for (lo, hi, n), check in ((theta_grid, check_theta), (p_grid, NoiseLevel)):
+            check(lo)
+            if n > 1:
+                check(hi)
     return theta_grid, p_grid
 
 
@@ -355,6 +368,8 @@ def result_record(args, payload: dict, outputs: dict, violated: dict) -> dict:
     """The ``--json`` record.  Only ``payload`` enters ``input_digest``;
     ``version``, ``elapsed_s`` (seconds since `main` was entered) and
     ``timestamp`` describe the run, not its inputs."""
+    from datetime import datetime, timezone  # here, not at module import
+
     return {
         "command": " ".join(args._argv),
         "input_digest": settings_digest(payload),
@@ -464,6 +479,14 @@ def cmd_cde(args, checked: SettingsInput) -> int:
     return 0
 
 
+def _median(values) -> float:
+    """``np.median``'s value, bit for bit, without the ``numpy.ma`` import
+    that it costs."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return (ordered[mid] + ordered[~mid]) / 2
+
+
 def cmd_mde(args, inputs: tuple[SearchConfig, str]) -> int:
     cfg, out_path = inputs
     runner = minimize_svetlichny_cutoff if args.inequality == "svetlichny" else minimize_t2_cutoff
@@ -477,8 +500,7 @@ def cmd_mde(args, inputs: tuple[SearchConfig, str]) -> int:
         "best_eta": result.best_eta,
         "violating_restarts": result.violating_restarts,
         "settings_file": out_path,
-        "restart_values": {"min": min(values), "median": float(np.median(values)),
-                           "max": max(values)},
+        "restart_values": {"min": min(values), "median": _median(values), "max": max(values)},
         "converged_restarts": converged,
         "status_counts": {status: result.status.count(status)
                           for status in ("converged", "stalled", "budget")},

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .inputs import NoiseLevel
+from .inputs import NoiseLevel, check_theta
 from .qcore import (
     SIN_FLOOR,
     DensityMatrix,
@@ -26,8 +26,7 @@ class ThetaSetting:
     __slots__ = ("theta",)
 
     def __init__(self, theta: float):
-        if not 0.0 < theta < np.pi:
-            raise ValueError(f"theta = {theta} must lie in (0, pi)")
+        check_theta(theta)
         if np.sin(theta) < SIN_FLOOR:
             raise ValueError(f"sin(theta) = {np.sin(theta)} below floor {SIN_FLOOR}")
         self.theta = theta

@@ -1,11 +1,20 @@
-"""Value types of the inputs a user gives, checked in pure Python.
+"""Value types and domain rules of the inputs a user gives, checked in
+pure Python.
 
-`NoiseLevel`, `EfficiencyTriple` and `SearchConfig` need no numerics to
-check, so the command line checks them before numpy is imported.
-`families`, `detector` and `search` import them from here.
+`check_theta`, `NoiseLevel`, `EfficiencyTriple` and `SearchConfig` need no
+numerics to check, so the command line checks them before numpy is
+imported.  `families`, `detector` and `search` import them from here.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def check_theta(theta: float) -> None:
+    """theta of the theta family lies in the open interval (0, pi)."""
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"theta = {theta} must lie in (0, pi)")
 
 
 class NoiseLevel:

@@ -14,6 +14,7 @@ from tribell import search
 from conftest import random_settings, random_state
 from tribell.cli import (
     SettingsFileError,
+    _median,
     atomic_write_text,
     explicit_payload,
     main,
@@ -167,6 +168,11 @@ class TestMde:
         assert record["input_digest"] == settings_digest(
             {"inequality": "t2", "restarts": 3, "seed": 5})
 
+    def test_median_matches_numpy_bit_for_bit(self, rng):
+        for n in range(1, 60):
+            values = tuple((rng.random(n) * rng.choice([1e-3, 1.0, 1e3], n)).tolist())
+            assert _median(values).hex() == float(np.median(values)).hex()
+
 
 class TestSweep:
     def test_csv_format_and_determinism(self, capsys, tmp_path):
@@ -224,6 +230,29 @@ class TestSweep:
                            "--p-grid", "0:0.02:3", "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "empty or inverted" in err
+
+    def test_one_point_grid_is_its_lower_end(self, capsys, tmp_path):
+        # np.linspace(lo, hi, 1) is [lo], so hi may lie outside the domain
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--theta-grid", "0.3:4:1", "--p-grid", "0:0.01:2",
+                         "--out", str(out_path))
+        assert code == 0
+        rows = [line.split(",") for line in out_path.read_text().strip().split("\n")[1:]]
+        assert [(t, p) for t, p, _ in rows] == [("0.3", "0.0"), ("0.3", "0.01")]
+
+    @pytest.mark.parametrize("theta_grid, p_grid, message", [
+        ("0.3:4:2", "0:0.01:2", "theta = 4.0 must lie in (0, pi)"),
+        ("0:1:5", "0:0.01:2", "theta = 0.0 must lie in (0, pi)"),
+        ("0.3:0.6:2", "0:2:3", "p = 2.0 must lie in [0, 1]"),
+        ("0.3:0.6:2", "-0.5:0.5:3", "p = -0.5 must lie in [0, 1]"),
+        ("0:1:5", "0:2:3", "theta = 0.0 must lie in (0, pi)"),  # theta first
+    ])
+    def test_grid_endpoint_out_of_range(self, capsys, tmp_path, theta_grid, p_grid, message):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--theta-grid", theta_grid, f"--p-grid={p_grid}",
+                             "--out", str(out_path))
+        assert (code, out, err) == (2, "", f"error: invalid sweep grid: {message}\n")
+        assert not out_path.exists()
 
 
 class TestSettingsFiles:
@@ -285,6 +314,12 @@ class TestSettingsFiles:
         assert "observed_t2" in record["outputs"]
         assert record["outputs"]["observed_t2"] != record["outputs"]["ideal_t2"]
 
+    def test_flag_errors_come_before_theta(self, capsys):
+        code, _, err = run(capsys, "evaluate", "--theta", "4", "--p", "2")
+        assert (code, err) == (2, "error: invalid --p: p = 2.0 must lie in [0, 1]\n")
+        code, _, err = run(capsys, "evaluate", "--theta", "4")
+        assert (code, err) == (2, "error: invalid settings: theta = 4.0 must lie in (0, pi)\n")
+
 
 _GOOD_STATE = [[0.5 ** 0.5, 0.0]] + [[0.0, 0.0]] * 6 + [[0.5 ** 0.5, 0.0]]
 _EQUATORIAL = [[np.pi / 2, 0.0]] * 6
@@ -312,6 +347,7 @@ PROBE_SETTINGS = {
                                          "measurements": _EQUATORIAL}},
     "off-norm-amplitude.json": {"explicit": {"state": [[0.7, 0.0]] + _GOOD_STATE[1:],
                                              "measurements": _EQUATORIAL}},
+    "theta-out-of-range.json": {"family": {"name": "theta", "parameters": {"theta": 4.0}}},
 }
 # settings files written as bytes: not UTF-8, and nested deeper than the
 # JSON decoder's recursion limit
@@ -344,6 +380,8 @@ MALFORMED = {
     "sweep-out-missing-directory": ["sweep", "--theta-grid", "0.3:0.6:2", "--p-grid", "0:0.01:2",
                                     "--out", "{tmp}/missing/probe.csv"],
     "mde-out-is-a-directory": ["mde", "--inequality", "t2", "--restarts", "1", "--out", "{tmp}"],
+    "p-grid-out-of-range": ["sweep", "--p-grid", "0:2:3", "--out", "{tmp}/probe.csv"],
+    "settings-theta-out-of-range": ["evaluate", "--settings", "{tmp}/theta-out-of-range.json"],
 }
 
 

@@ -1,6 +1,8 @@
 """Cold start: no command imports scipy; importing the CLI does not
-import dataclasses, whose classes generate their methods with exec; and
-the input stage rejects malformed input before numpy is imported.
+import dataclasses, whose classes generate their methods with exec, nor
+hashlib and datetime, which only a result record needs; the input stage
+rejects malformed input before numpy is imported; and ``mde`` leaves
+numpy.ma out.
 
 Each check of ``sys.modules`` runs in a fresh interpreter, because this
 test process may already have the module loaded.
@@ -108,6 +110,37 @@ def test_malformed_input_exits_before_numpy_loads(tmp_path):
         watched="numpy",
     )
     assert results == [[0, False]] + [[2, False]] * 5
+
+
+def test_import_leaves_hashlib_and_datetime_out(tmp_path):
+    loaded = fresh_python(tmp_path, "-c", "import sys, tribell.cli; "
+                          "print([m in sys.modules for m in ('hashlib', 'datetime')])")
+    assert loaded == "[False, False]"
+
+
+def test_domain_errors_exit_before_numpy_loads(tmp_path):
+    (tmp_path / "theta-4.json").write_text(json.dumps(
+        {"family": {"name": "theta", "parameters": {"theta": 4.0}}}))
+    results = run_commands(
+        tmp_path,
+        ["evaluate", "--theta", "4"],
+        ["cde", "--theta", "-1", "--inequality", "t2"],
+        ["sweep", "--theta-grid", "0:1:5", "--out", "sweep.csv"],
+        ["sweep", "--p-grid", "0:2:3", "--out", "sweep.csv"],
+        ["evaluate", "--settings", "theta-4.json"],
+        watched="numpy",
+    )
+    assert results == [[2, False]] * 5
+
+
+def test_mde_leaves_numpy_ma_out(tmp_path):
+    results = run_commands(
+        tmp_path,
+        ["mde", "--inequality", "t2", "--restarts", "1", "--max-iterations", "1500",
+         "--out", "mde.json"],
+        watched="numpy.ma",
+    )
+    assert results == [[0, False]]
 
 
 def test_a_command_loads_every_numeric_module(tmp_path):

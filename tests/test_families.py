@@ -34,6 +34,13 @@ class TestThetaSetting:
             ThetaSetting(-0.3)
         ThetaSetting(1e-6)  # tiny but valid
 
+    def test_domain_messages(self):
+        with pytest.raises(ValueError, match=r"^theta = 4\.0 must lie in \(0, pi\)$"):
+            ThetaSetting(4.0)
+        # inside (0, pi), but sin(theta) is below the floor
+        with pytest.raises(ValueError, match=r"^sin\(theta\) = 1e-12 below floor 1e-09$"):
+            ThetaSetting(1e-12)
+
     def test_normalization_identity(self):
         for theta in np.linspace(0.05, np.pi - 0.05, 25):
             s = ThetaSetting(theta)
