@@ -61,6 +61,7 @@ _EXPORTS = {
     "svetlichny_cutoff": "inequality",
     "sweep_t2_noise": "search",
     "t2_cutoff_symmetric": "inequality",
+    "t2_triple_and_pair_sums": "inequality",
     "t2_value": "inequality",
     "theta_measurements": "families",
     "theta_state": "families",

@@ -45,7 +45,9 @@ from .inputs import EfficiencyTriple, NoiseLevel, SearchConfig, check_theta
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# the names the numeric stage binds as globals of this module
+# the names the numeric stage binds as globals of this module; every name
+# but numpy's is read from the package's exports, in this order, so the
+# numeric modules load in the order their first names appear
 _NUMERIC_NAMES = (
     "np",
     "observe",
@@ -53,7 +55,7 @@ _NUMERIC_NAMES = (
     "svetlichny_coefficients", "svetlichny_corr_value", "svetlichny_cutoff",
     "t2_cutoff_symmetric", "t2_triple_and_pair_sums", "t2_value",
     "classical_max", "enumerate_svetlichny_vertices", "enumerate_t2_vertices",
-    "PureState", "SettingsTriple", "behavior_from_settings", "density_from_pure",
+    "PureState", "behavior_from_settings", "density_from_pure",
     "SettingsParameterization", "minimize_svetlichny_cutoff", "minimize_t2_cutoff",
     "sweep_t2_noise",
 )
@@ -71,17 +73,9 @@ def _numeric_stage() -> None:
         return
     import numpy as np
 
-    from .detector import observe
-    from .families import (ThetaSetting, ghz_setting, mix_white_noise, theta_measurements,
-                           theta_state)
-    from .inequality import (svetlichny_coefficients, svetlichny_corr_value, svetlichny_cutoff,
-                             t2_cutoff_symmetric, t2_triple_and_pair_sums, t2_value)
-    from .polytope import classical_max, enumerate_svetlichny_vertices, enumerate_t2_vertices
-    from .qcore import PureState, SettingsTriple, behavior_from_settings, density_from_pure
-    from .search import (SettingsParameterization, minimize_svetlichny_cutoff, minimize_t2_cutoff,
-                         sweep_t2_noise)
-    loaded = locals()  # the imports above
-    globals().update((name, loaded[name]) for name in _NUMERIC_NAMES)
+    import tribell
+
+    globals().update({name: getattr(tribell, name) for name in _NUMERIC_NAMES[1:]}, np=np)
 
 
 def __getattr__(name: str):
@@ -114,14 +108,11 @@ class SettingsInput(NamedTuple):
     payload: dict
 
 
-def _canonical_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-
-
 def settings_digest(payload: dict) -> str:
     import hashlib  # here, not at module import: it loads OpenSSL
 
-    return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _require(cond: bool, message: str) -> None:
@@ -169,12 +160,8 @@ def _usage_errors(context: str):
         raise SettingsFileError(f"{context}: {exc}") from exc
 
 
+@_usage_errors("invalid settings")
 def check_settings_payload(payload: dict) -> SettingsInput:
-    with _usage_errors("invalid settings"):
-        return _check_settings_payload(payload)
-
-
-def _check_settings_payload(payload: dict) -> SettingsInput:
     _require(isinstance(payload, dict), "settings must be a JSON object")
     has_family = "family" in payload
     has_explicit = "explicit" in payload
@@ -295,14 +282,15 @@ def check_mde(args) -> tuple[SearchConfig, str]:
 def check_sweep(args) -> tuple[tuple, tuple]:
     """The grids and the output path.  The grids' endpoints are checked
     theta first, as `sweep_t2_noise` checks every point; ``np.linspace``
-    ends a grid of one point at ``lo``."""
+    ends a grid of one point at ``lo``, unless ``hi`` is not finite, which
+    makes that point NaN."""
     theta_grid = parse_grid(args.theta_grid, "theta-grid")
     p_grid = parse_grid(args.p_grid, "p-grid")
     check_out_path(args.out)
     with _usage_errors("invalid sweep grid"):
         for (lo, hi, n), check in ((theta_grid, check_theta), (p_grid, NoiseLevel)):
             check(lo)
-            if n > 1:
+            if n > 1 or not math.isfinite(hi):
                 check(hi)
     return theta_grid, p_grid
 
@@ -333,13 +321,12 @@ def build_settings(checked: SettingsInput) -> SettingsSpec:
         elif kind == "ghz":
             state, settings = ghz_setting(*values)
         else:
-            amplitudes, angles = values
-            amps = np.array(amplitudes)
+            params = SettingsParameterization(*values)
             try:  # a state off unit norm is a malformed value, not a failed check
-                state = PureState(amps[:, 0] + 1j * amps[:, 1])
+                state = PureState(params.state_coords.view(complex))
             except NormalizationError as exc:
                 raise SettingsFileError(f"invalid settings: {exc}") from exc
-            settings = SettingsTriple.from_angles(angles)
+            settings = params.to_settings()
     return SettingsSpec(state, settings, checked.noise, checked.etas, checked.payload)
 
 

@@ -23,7 +23,8 @@ def observe(ideal: BehaviorTensor, etas: EfficiencyTriple) -> BehaviorTensor:
 
 
 def observed_probabilities(probs: np.ndarray, etas) -> np.ndarray:
-    """Channel on a raw probability array; hot path for root finding.
+    """Channel on a raw probability array; the sweep's sign bracket makes
+    one call per noise row.
 
     ``probs`` has shape ``(..., 2, 2, 2, 2, 2, 2)``: one behavior array or a
     stack of them along leading axes.  ``etas`` has shape ``(..., 3)`` and

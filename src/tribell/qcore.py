@@ -278,8 +278,8 @@ def pure_behavior_probabilities(amplitudes: np.ndarray, bases) -> np.ndarray:
     """Born probabilities of a pure state, without object construction.
 
     ``bases`` are the per-party stacks from :meth:`SettingsTriple.bases`.
-    This is the hot path used by the optimizers; `behavior_from_settings`
-    is the validated public route.
+    It computes each MDE restart's certificate and the sweep's ideal
+    tensors; `behavior_from_settings` is the validated public route.
     """
     psi3 = np.asarray(amplitudes, dtype=complex).reshape(2, 2, 2)
     ua, ub, uc = (np.conj(u) for u in bases)

@@ -427,11 +427,9 @@ def _multistart(kind: str, cfg: SearchConfig,
         raise CrossCheckError(
             f"re-verified cutoff {best_eta} deviates from optimizer value {best_val}"
         )
-    # PureState keeps the normalized eigenvector's bits, so the settings hold
-    # the state that was certified and re-verified
+    # the settings hold the bits of the state that was certified and re-verified
     amplitudes, angles = best_pair
-    best_settings = SettingsParameterization.from_quantum(
-        PureState(amplitudes), SettingsTriple.from_angles(angles))
+    best_settings = SettingsParameterization(amplitudes.view(float), angles)
     values, *diagnostics = zip(*restarts)
     return SearchResult(float(best_eta), best_settings, values, violating, *diagnostics)
 

@@ -22,7 +22,7 @@ from tribell.cli import (
     settings_digest,
 )
 from tribell.families import ghz_setting
-from tribell.qcore import PureState
+from tribell.qcore import PureState, SettingsTriple
 from tribell.search import sweep_t2_noise
 
 
@@ -246,6 +246,11 @@ class TestSweep:
         ("0.3:0.6:2", "0:2:3", "p = 2.0 must lie in [0, 1]"),
         ("0.3:0.6:2", "-0.5:0.5:3", "p = -0.5 must lie in [0, 1]"),
         ("0:1:5", "0:2:3", "theta = 0.0 must lie in (0, pi)"),  # theta first
+        # a non-finite hi is checked even in a one-point grid, whose one
+        # point np.linspace would make NaN
+        ("0.1:inf:1", "0:0.01:2", "theta = inf must lie in (0, pi)"),
+        ("0.1:nan:1", "0:0.01:2", "theta = nan must lie in (0, pi)"),
+        ("0.3:0.6:2", "0:inf:1", "p = inf must lie in [0, 1]"),
     ])
     def test_grid_endpoint_out_of_range(self, capsys, tmp_path, theta_grid, p_grid, message):
         out_path = tmp_path / "sweep.csv"
@@ -381,6 +386,9 @@ MALFORMED = {
                                     "--out", "{tmp}/missing/probe.csv"],
     "mde-out-is-a-directory": ["mde", "--inequality", "t2", "--restarts", "1", "--out", "{tmp}"],
     "p-grid-out-of-range": ["sweep", "--p-grid", "0:2:3", "--out", "{tmp}/probe.csv"],
+    "theta-grid-end-infinite": ["sweep", "--theta-grid", "0.1:inf:1", "--out", "{tmp}/probe.csv"],
+    "theta-grid-end-nan": ["sweep", "--theta-grid", "0.1:nan:1", "--out", "{tmp}/probe.csv"],
+    "p-grid-end-infinite": ["sweep", "--p-grid", "0:inf:1", "--out", "{tmp}/probe.csv"],
     "settings-theta-out-of-range": ["evaluate", "--settings", "{tmp}/theta-out-of-range.json"],
 }
 
@@ -465,6 +473,22 @@ class TestRunRecord:
             rewritten = explicit_payload(spec.state, spec.settings)
             assert json.dumps(rewritten) == json.dumps(payload)
             assert settings_digest(rewritten) == settings_digest(payload)
+
+    def test_round_trip_keeps_signed_zeros(self):
+        # the file's (re, im) pairs are read back through the view of complex
+        # numbers they were written from, so a zero keeps its sign
+        state, settings = ghz_setting()
+        amplitudes = state.amplitudes.copy()
+        amplitudes[1:7] = complex(-0.0, -0.0)
+        angles = settings.angles()
+        angles[0, 0, 1] = -0.0
+        payload = explicit_payload(PureState(amplitudes), SettingsTriple.from_angles(angles))
+        text = json.dumps(payload)
+        assert text.count("-0.0") == 13
+        spec = parse_settings_payload(json.loads(text))
+        rewritten = explicit_payload(spec.state, spec.settings)
+        assert json.dumps(rewritten) == text
+        assert settings_digest(rewritten) == settings_digest(payload)
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "verify", "--inequality", "t2", "--json"],

@@ -133,6 +133,19 @@ def test_domain_errors_exit_before_numpy_loads(tmp_path):
     assert results == [[2, False]] * 5
 
 
+def test_non_finite_grid_ends_exit_before_numpy_loads(tmp_path):
+    # np.linspace(lo, inf, 1) warns and makes the one point NaN; the input
+    # stage rejects such an end first
+    commands = [["sweep", "--theta-grid", "0.1:inf:1", "--out", "sweep.csv"],
+                ["sweep", "--theta-grid", "0.1:nan:1", "--out", "sweep.csv"],
+                ["sweep", "--p-grid", "0:inf:1", "--out", "sweep.csv"]]
+    done = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands), "numpy"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [[2, False]] * 3
+    assert "RuntimeWarning" not in done.stderr
+
+
 def test_mde_leaves_numpy_ma_out(tmp_path):
     results = run_commands(
         tmp_path,
@@ -168,3 +181,10 @@ def test_public_names_resolve_to_their_definitions():
         assert getattr(home, name) is value, name
     with pytest.raises(AttributeError):
         getattr(tribell, "no_such_name")
+
+
+def test_numeric_names_are_the_package_exports():
+    import tribell.cli as cli
+
+    for name in cli._NUMERIC_NAMES[1:]:
+        assert getattr(cli, name) is getattr(tribell, name), name
