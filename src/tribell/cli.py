@@ -24,11 +24,18 @@ It rejects only what the numeric types check: a state whose norm is off
 
 All angles are radians.  Exit codes: 0 success, 1 verification or
 violation-expectation failure, 2 usage or parse error.
+
+`main` runs one command and returns its exit code; it is the in-process
+API.  `run` is the process entry (``python -m tribell.cli`` and the
+``tribell`` script): it runs `main`, freezes the garbage collector's heap
+so that the collections at interpreter exit skip it, and exits with
+`main`'s code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -263,7 +270,10 @@ def parse_grid(text: str, name: str) -> tuple[float, float, int]:
 
 
 def check_out_path(path: str) -> str:
-    """An output path whose directory exists and that is not a directory."""
+    """A non-empty output path whose directory exists and that is not a
+    directory."""
+    if not path:
+        raise SettingsFileError("--out needs a path")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise SettingsFileError(f"cannot write {path}: no directory {directory}")
@@ -276,7 +286,8 @@ def check_mde(args) -> tuple[SearchConfig, str]:
     with _usage_errors("invalid search settings"):
         cfg = SearchConfig(restarts=args.restarts, seed=args.seed,
                            max_iterations=args.max_iterations)
-    return cfg, check_out_path(args.out or f"mde-{args.inequality}-settings.json")
+    return cfg, check_out_path(
+        f"mde-{args.inequality}-settings.json" if args.out is None else args.out)
 
 
 def check_sweep(args) -> tuple[tuple, tuple]:
@@ -601,5 +612,22 @@ def main(argv=None) -> int:
         return CHECK_FAILED
 
 
+def run() -> None:
+    """Run `main` as a process and exit with its code.
+
+    Freezing moves every object the process tracks into the collector's
+    permanent generation, which the collections at interpreter exit skip;
+    the operating system takes the memory back.  Atexit handlers and the
+    flushing of stdout and stderr still run.  An argparse exit (usage
+    error or ``--help``) leaves `main` as ``SystemExit`` and is frozen
+    too.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

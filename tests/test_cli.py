@@ -390,6 +390,9 @@ MALFORMED = {
     "theta-grid-end-nan": ["sweep", "--theta-grid", "0.1:nan:1", "--out", "{tmp}/probe.csv"],
     "p-grid-end-infinite": ["sweep", "--p-grid", "0:inf:1", "--out", "{tmp}/probe.csv"],
     "settings-theta-out-of-range": ["evaluate", "--settings", "{tmp}/theta-out-of-range.json"],
+    "sweep-out-empty": ["sweep", "--theta-grid", "0.3:0.6:2", "--p-grid", "0:0.01:2",
+                        "--out", ""],
+    "mde-out-empty": ["mde", "--inequality", "t2", "--restarts", "1", "--out", ""],
 }
 
 

@@ -1,13 +1,15 @@
-"""Cold start: no command imports scipy; importing the CLI does not
-import dataclasses, whose classes generate their methods with exec, nor
-hashlib and datetime, which only a result record needs; the input stage
-rejects malformed input before numpy is imported; and ``mde`` leaves
-numpy.ma out.
+"""Cold start and exit: no command imports scipy; importing the CLI does
+not import dataclasses, whose classes generate their methods with exec,
+nor hashlib and datetime, which only a result record needs; the input
+stage rejects malformed input before numpy is imported; ``mde`` leaves
+numpy.ma out; and the process entry exits with `main`'s code and a frozen
+collector heap, while `main` leaves the collector as it found it.
 
 Each check of ``sys.modules`` runs in a fresh interpreter, because this
 test process may already have the module loaded.
 """
 
+import gc
 import importlib
 import json
 import os
@@ -20,7 +22,8 @@ import pytest
 
 import tribell
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # runs the argv lists given as JSON in argv[1] through tribell.cli.main, then
 # prints, per command, its exit code and whether the module named in argv[2]
@@ -146,6 +149,17 @@ def test_non_finite_grid_ends_exit_before_numpy_loads(tmp_path):
     assert "RuntimeWarning" not in done.stderr
 
 
+def test_empty_out_exits_before_numpy_loads(tmp_path):
+    results = run_commands(
+        tmp_path,
+        ["sweep", "--out", ""],
+        ["mde", "--inequality", "t2", "--restarts", "1", "--out", ""],
+        watched="numpy",
+    )
+    assert results == [[2, False]] * 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mde_leaves_numpy_ma_out(tmp_path):
     results = run_commands(
         tmp_path,
@@ -188,3 +202,53 @@ def test_numeric_names_are_the_package_exports():
 
     for name in cli._NUMERIC_NAMES[1:]:
         assert getattr(cli, name) is getattr(tribell, name), name
+
+
+# runs tribell.cli as ``python -m tribell.cli`` does, after registering an
+# atexit hook that leaves the collector's freeze count in a file
+PROCESS_ENTRY = """
+import atexit, gc, runpy
+def hook():
+    with open("freeze_count", "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+atexit.register(hook)
+runpy.run_module("tribell.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cde", "--theta", "0.3", "--inequality", "t2", "--json"], 0),
+    (["cde", "--theta", "1.2", "--inequality", "t2"], 1),
+    (["evaluate", "--theta", "abc"], 2),  # argparse
+    (["evaluate", "--theta", "0.3", "--eta", "a,b,c"], 2),  # the input stage
+    (["--help"], 0),
+], ids=["success", "check-failed", "argparse-error", "input-error", "help"])
+def test_process_entry_exits_with_a_frozen_heap(tmp_path, argv, code):
+    done = subprocess.run([sys.executable, "-c", PROCESS_ENTRY, *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if "--json" in argv:
+        assert json.loads(done.stdout)["outputs"]["cde"] > 0
+    assert int((tmp_path / "freeze_count").read_text()) > 0
+
+
+def test_main_leaves_the_collector_as_it_found_it():
+    from tribell.cli import main
+
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["cde", "--theta", "0.3", "--inequality", "t2"]) == 0
+    with pytest.raises(SystemExit):
+        main(["evaluate", "--theta", "abc"])
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    import tribell.cli
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["tribell"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is tribell.cli.run
