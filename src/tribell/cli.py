@@ -388,15 +388,18 @@ def emit(args, record: dict, human_lines) -> None:
         print(f"input digest: {record['input_digest']}")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in its directory;
-    a write the system refuses is a usage error."""
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of string chunks written in
+    turn, to ``path`` through a temporary file in its directory, so that
+    ``path`` appears only once the last chunk is written and not at all
+    when a chunk fails; a write the system refuses is a usage error."""
+    chunks = [text] if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tribell-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -514,20 +517,25 @@ def cmd_mde(args, inputs: tuple[SearchConfig, str]) -> int:
     return 0
 
 
+def _sweep_csv(rows, n: int):
+    """The sweep's CSV text in chunks: the header, then one chunk per noise
+    row of ``n`` thetas."""
+    yield "theta,p,eta_min\n"
+    # rows run over every theta at each p in turn, so each grid value's
+    # repr is taken once, from its first row
+    theta_text = [repr(row.theta) for row in rows[:n]]
+    for start in range(0, len(rows), n):
+        p_text = repr(rows[start].p)
+        yield "".join(
+            f"{theta},{p_text},{'none' if row.eta_min is None else f'{row.eta_min:.12f}'}\n"
+            for theta, row in zip(theta_text, rows[start:start + n]))
+
+
 def cmd_sweep(args, grids: tuple[tuple, tuple]) -> int:
     theta_grid, p_grid = (np.linspace(*grid) for grid in grids)
     with _usage_errors("invalid sweep grid"):
         rows = sweep_t2_noise(theta_grid, p_grid)
-    # rows run over every theta at each p in turn, so each grid value's
-    # repr is taken once, from its first row
-    n = len(theta_grid)
-    theta_text = [repr(row.theta) for row in rows[:n]]
-    lines = ["theta,p,eta_min"]
-    for start in range(0, len(rows), n):
-        p_text = repr(rows[start].p)
-        lines += [f"{theta},{p_text},{'none' if row.eta_min is None else f'{row.eta_min:.12f}'}"
-                  for theta, row in zip(theta_text, rows[start:start + n])]
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write_text(args.out, _sweep_csv(rows, len(theta_grid)))
     feasible = [row.p for row in rows if row.eta_min is not None]
     outputs = {
         "rows": len(rows),

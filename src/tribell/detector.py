@@ -27,19 +27,24 @@ def observed_probabilities(probs: np.ndarray, etas) -> np.ndarray:
     one call per noise row.
 
     ``probs`` has shape ``(..., 2, 2, 2, 2, 2, 2)``: one behavior array or a
-    stack of them along leading axes.  ``etas`` has shape ``(..., 3)`` and
-    broadcasts against the stack, so each tensor may have its own
-    efficiencies.  Party by party, outcome 0 keeps the fraction eta and
-    hands 1 - eta of its mass to outcome 1.
+    stack of them along leading axes, in any memory layout.  ``etas`` has
+    shape ``(..., 3)`` and broadcasts against the stack, so each tensor may
+    have its own efficiencies.  Party by party, outcome 0 keeps the
+    fraction eta and hands 1 - eta of its mass to outcome 1.  Returns a new
+    C-contiguous array; a tensor gives the same bits in any layout, and
+    alone as in a stack.
     """
-    out = np.array(probs, dtype=float)
+    # a C-contiguous copy, so that every reshape below is a view of it and
+    # the updates through the views land in it
+    out = np.array(probs, dtype=float, order="C")
     etas = np.asarray(etas, dtype=float)
+    lead = out.shape[:-6]
     for party in range(3):
-        # the party's outcome axis sits 6 - party axes from the end
-        zero = (Ellipsis, 0) + (slice(None),) * (5 - party)
-        one = (Ellipsis, 1) + (slice(None),) * (5 - party)
-        eta = etas[..., party].reshape(etas.shape[:-1] + (1,) * 5)
-        lost = (1.0 - eta) * out[zero]
-        out[zero] *= eta
-        out[one] += lost
+        # the party's outcome bit splits each tensor's 64 entries into
+        # 2^party blocks of an outcome-0 half and an outcome-1 half
+        halves = out.reshape(lead + (2**party, 2, 2 ** (5 - party)))
+        eta = etas[..., party, None, None]
+        lost = (1.0 - eta) * halves[..., 0, :]
+        halves[..., 0, :] *= eta
+        halves[..., 1, :] += lost
     return out

@@ -222,7 +222,9 @@ def validated_probabilities(probs) -> np.ndarray:
     if not lowest >= PROB_FLOOR:
         raise NormalizationError(f"negative probability {lowest} below floor {PROB_FLOOR}")
     p = np.clip(p, 0.0, None)
-    deviation = np.max(np.abs(p.sum(axis=(-6, -5, -4)) - 1.0), initial=0.0)
+    # rows of the (outcomes, settings) view are the 8 outcome triples
+    slice_sums = p.reshape(p.shape[:-6] + (8, 8)).sum(axis=-2)
+    deviation = np.max(np.abs(slice_sums - 1.0), initial=0.0)
     if not deviation <= SLICE_SUM_TOL:
         raise NormalizationError(f"setting slices must sum to 1, max deviation {deviation}")
     return p
@@ -277,17 +279,28 @@ def density_from_pure(state: PureState) -> DensityMatrix:
 def pure_behavior_probabilities(amplitudes: np.ndarray, bases) -> np.ndarray:
     """Born probabilities of a pure state, without object construction.
 
-    ``bases`` are the per-party stacks from :meth:`SettingsTriple.bases`.
-    It computes each MDE restart's certificate and the sweep's ideal
-    tensors; `behavior_from_settings` is the validated public route.
+    ``amplitudes`` has shape (..., 8) and ``bases`` shape (..., 3, 2, 2, 2),
+    the party stacks of :meth:`SettingsTriple.bases`: one state and its
+    settings, giving one C-contiguous behavior array, or a stack of them
+    along matching leading axes, giving a C-contiguous stack.  A tensor
+    gives the same bits alone as in a stack.  It computes each MDE
+    restart's certificate and, in one call, the sweep's ideal tensors;
+    `behavior_from_settings` is the validated public route.
     """
-    psi3 = np.asarray(amplitudes, dtype=complex).reshape(2, 2, 2)
-    ua, ub, uc = (np.conj(u) for u in bases)
-    s1 = np.tensordot(uc, psi3, axes=([2], [2]))       # [z,c,i,j]
-    s2 = np.tensordot(ub, s1, axes=([2], [3]))         # [y,b,z,c,i]
-    s3 = np.tensordot(ua, s2, axes=([2], [4]))         # [x,a,y,b,z,c]
-    amp = s3.transpose(1, 3, 5, 0, 2, 4)               # [a,b,c,x,y,z]
-    return amp.real**2 + amp.imag**2
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    lead = amplitudes.shape[:-1]
+    conj = np.conj(bases)
+    # party C, then B, then A contracts its component index with the last
+    # qubit index left: [zc, ij], then [yb, zci], then [xa, ybzc]
+    amp = amplitudes.reshape(lead + (4, 2))
+    for party in (2, 1, 0):
+        u = conj[..., party, :, :, :].reshape(lead + (4, 2))
+        amp = u @ amp.reshape(lead + (-1, 2)).swapaxes(-1, -2)
+    # [x,a,y,b,z,c] -> [a,b,c,x,y,z]
+    amp = np.moveaxis(amp.reshape(lead + (2,) * 6), (-5, -3, -1), (-6, -5, -4))
+    probs = np.empty(amp.shape)
+    np.add(amp.real**2, amp.imag**2, out=probs)
+    return probs
 
 
 _BORN_SUBSCRIPTS = "xai,ybj,zck,ijkIJK,xaI,ybJ,zcK->abcxyz"

@@ -519,14 +519,14 @@ def noisy_t2_min_efficiency(theta: ThetaSetting, noise: NoiseLevel) -> float | N
 def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
     """One row per (theta, p) grid point, ordered lexicographically by (p, theta).
 
-    The ideal tensors come from the pure-state Born rule,
-    `qcore.pure_behavior_probabilities`, and by linearity of the Born rule
-    in the state the noisy tensor equals (1 - p) * ideal + p * uniform.  The
-    tests pin the ideal tensors to the density-matrix route within 1e-15,
-    and the crossings to those of `noisy_t2_min_efficiency`, which takes
-    that route, within 1e-12.  Each noise row, every theta at one p, is
-    one stack of tensors whose crossings `_t2_noise_crossings` reads and
-    cross-checks.
+    The ideal tensors come from one stacked call of the pure-state Born
+    rule, `qcore.pure_behavior_probabilities`, and by linearity of the
+    Born rule in the state the noisy tensor equals (1 - p) * ideal + p *
+    uniform.  The tests pin the ideal tensors to the density-matrix route
+    within 1e-15, and the crossings to those of `noisy_t2_min_efficiency`,
+    which takes that route, within 1e-12.  Each noise row, every theta at
+    one p, is one stack of tensors whose crossings `_t2_noise_crossings`
+    reads and cross-checks.
     """
     thetas = sorted(float(t) for t in theta_grid)
     ps = sorted(float(p) for p in p_grid)
@@ -536,14 +536,18 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
     for p in ps:
         NoiseLevel(p)
 
-    ideal = np.stack([
-        pure_behavior_probabilities(theta_state(s).amplitudes, theta_measurements(s).bases())
-        for s in settings
-    ])
+    ideal = pure_behavior_probabilities(
+        np.array([theta_state(s).amplitudes for s in settings]),
+        np.array([theta_measurements(s).bases() for s in settings]))
 
     rows = []
-    uniform = np.full((2,) * 6, 0.125)
+    # `_t2_noise_crossings` returns floats and keeps nothing of its input,
+    # so one buffer serves every row
+    noisy = np.empty_like(ideal)
     for p in ps:
-        crossings = _t2_noise_crossings((1.0 - p) * ideal + p * uniform)
+        # (1 - p) * ideal + p * uniform, every entry of uniform being 1/8
+        np.multiply(ideal, 1.0 - p, out=noisy)
+        noisy += p * 0.125
+        crossings = _t2_noise_crossings(noisy)
         rows += [SweepRow(t, p, eta) for t, eta in zip(thetas, crossings)]
     return rows

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,37 @@ class TestSweep:
         assert err.startswith("error: ") and "disagree" in err
         assert not out_path.exists()
 
+    def test_failed_eta_1_check_exits_1(self, capsys, tmp_path, monkeypatch):
+        # pair sums inflated until every cell reads as infeasible, though
+        # some violate at eta = 1
+        sums = search.t2_triple_and_pair_sums
+
+        def inflated(probs):
+            triple, pair = sums(probs)
+            return triple, pair * 1.5
+
+        monkeypatch.setattr(search, "t2_triple_and_pair_sums", inflated)
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--theta-grid", "0.3:0.6:2", "--p-grid", "0:0.01:2",
+                           "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ") and "infeasible but eta=1 violates" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_sweep_never_holds_the_whole_csv(self, capsys, tmp_path):
+        # the 20,000 rows take about 2.1 MB of the heap; the CSV text, 1.0 MB
+        # joined, is written one noise row at a time beside them
+        tribell.cli._numeric_stage()
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "sweep", "--out", str(tmp_path / "sweep.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "sweep.csv").stat().st_size > 990_000
+        assert peak < 4_000_000
+
     def test_bad_grid_spec(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--theta-grid", "0.5:0.1:5",
                            "--p-grid", "0:0.02:3", "--out", str(tmp_path / "x.csv"))
@@ -415,6 +447,21 @@ def test_refused_write_is_a_usage_error(tmp_path):
     with pytest.raises(SettingsFileError, match="cannot write"):
         atomic_write_text(str(tmp_path / "file" / "out.csv"), "text")
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_chunks_that_fail_leave_no_file(tmp_path):
+    def chunks():
+        yield "theta,p,eta_min\n"
+        yield "0.1,0.0,none\n"
+        raise RuntimeError("chunk failed")
+
+    out_path = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        atomic_write_text(str(out_path), chunks())
+    assert list(tmp_path.iterdir()) == []
+    atomic_write_text(str(out_path), iter(["a\n", "", "b\n"]))
+    assert out_path.read_text() == "a\nb\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 # Fuzz of the settings-file parser: recursive JSON with keys drawn from the

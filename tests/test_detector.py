@@ -87,3 +87,23 @@ class TestObserve:
             ka, kb, kc = (np.array([[e, 0.0], [1.0 - e, 1.0]]) for e in eta)
             kernel = np.einsum("aA,bB,cC,ABCxyz->abcxyz", ka, kb, kc, probs)
             np.testing.assert_allclose(got, kernel, rtol=0, atol=1e-15)
+
+
+def test_same_bits_in_any_layout_and_stack(rng):
+    # the channel updates a C-contiguous copy in place through reshaped
+    # views; an input in another layout must not leave those updates in a
+    # copy of its own
+    stack = np.stack([random_behavior(rng).probs for _ in range(8)])
+    etas = rng.uniform(0.0, 1.0, size=(8, 3))
+    want = observed_probabilities(stack, etas)
+    # the same values with each tensor's axes in another memory order, and
+    # a boolean-indexed slice of that
+    order = (0, 4, 5, 6, 1, 2, 3)
+    transposed = np.ascontiguousarray(stack.transpose(order)).transpose(np.argsort(order))
+    keep = np.arange(8) % 3 != 1
+    for probs, rows in ((transposed, slice(None)), (transposed[keep], keep)):
+        assert np.array_equal(probs, stack[rows]) and not probs.flags.c_contiguous
+        assert observed_probabilities(probs, etas[rows]).tobytes() == want[rows].tobytes()
+    # each tensor alone
+    for probs, eta, got in zip(stack, etas, want):
+        assert observed_probabilities(probs, eta).tobytes() == got.tobytes()

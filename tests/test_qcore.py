@@ -20,6 +20,7 @@ from tribell.qcore import (
     measurement_basis,
     no_signaling_deviation,
     projector,
+    pure_behavior_probabilities,
     uniform_behavior,
     validated_probabilities,
 )
@@ -187,8 +188,6 @@ class TestBehaviorFromSettings:
                 assert t.no_signaling_deviation() < 1e-10
 
     def test_pure_fast_path_matches_density_path(self, rng):
-        from tribell.qcore import pure_behavior_probabilities
-
         for _ in range(20):
             state = random_state(rng)
             settings = random_settings(rng)
@@ -279,3 +278,49 @@ def test_born_rule_uses_the_searched_contraction_path(rng):
                              rho.matrix.reshape((2,) * 6), ua, ub, uc, optimize=True).real
         cached = behavior_from_settings(rho, settings).probs
         assert cached.tobytes() == validated_probabilities(searched).tobytes()
+
+
+def _tensordot_born(amplitudes, bases):
+    """The pure-state Born rule of one tensor as three tensordots, party C
+    first: the reference for the bits of `pure_behavior_probabilities`."""
+    psi3 = np.asarray(amplitudes, dtype=complex).reshape(2, 2, 2)
+    ua, ub, uc = (np.conj(u) for u in bases)
+    s1 = np.tensordot(uc, psi3, axes=([2], [2]))       # [z,c,i,j]
+    s2 = np.tensordot(ub, s1, axes=([2], [3]))         # [y,b,z,c,i]
+    s3 = np.tensordot(ua, s2, axes=([2], [4]))         # [x,a,y,b,z,c]
+    amp = s3.transpose(1, 3, 5, 0, 2, 4)               # [a,b,c,x,y,z]
+    return amp.real**2 + amp.imag**2
+
+
+class TestStackedPureBorn:
+    """One call on a stack gives each tensor the bits of a call on it alone,
+    and those are the bits of the tensordot reference, which the MDE
+    certificates were computed with."""
+
+    def check(self, amplitudes, bases):
+        stacked = pure_behavior_probabilities(amplitudes, bases)
+        assert stacked.shape == (len(amplitudes),) + (2,) * 6
+        assert stacked.flags.c_contiguous
+        for amp, basis, got in zip(amplitudes, bases, stacked):
+            alone = pure_behavior_probabilities(amp, basis)
+            assert alone.flags.c_contiguous
+            assert got.tobytes() == alone.tobytes() == _tensordot_born(amp, basis).tobytes()
+
+    def test_default_theta_grid(self):
+        settings = [ThetaSetting(t) for t in np.linspace(0.01, np.pi / 3, 200)]
+        self.check(np.array([theta_state(s).amplitudes for s in settings]),
+                   np.array([theta_measurements(s).bases() for s in settings]))
+
+    def test_random_states_and_angles(self, rng):
+        states = [random_state(rng) for _ in range(100)]
+        settings = [random_settings(rng) for _ in range(100)]
+        self.check(np.array([s.amplitudes for s in states]),
+                   np.array([s.bases() for s in settings]))
+
+    def test_two_leading_axes(self, rng):
+        amplitudes = np.array([random_state(rng).amplitudes for _ in range(6)])
+        bases = np.array([random_settings(rng).bases() for _ in range(6)])
+        grid = pure_behavior_probabilities(amplitudes.reshape(2, 3, 8),
+                                           bases.reshape(2, 3, 3, 2, 2, 2))
+        flat = pure_behavior_probabilities(amplitudes, bases)
+        assert grid.tobytes() == flat.tobytes()

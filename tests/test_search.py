@@ -5,7 +5,7 @@ import pytest
 
 from tribell import search
 from tribell.detector import EfficiencyTriple, observe
-from tribell.errors import NoViolationError, SearchFailureError
+from tribell.errors import CrossCheckError, NoViolationError, SearchFailureError
 from tribell.families import NoiseLevel, ThetaSetting, ghz_setting, theta_measurements, theta_state
 from tribell.inequality import (
     svetlichny_coefficients,
@@ -441,4 +441,18 @@ class TestSweep:
 
         monkeypatch.setattr(search, "t2_triple_and_pair_sums", shifted)
         with pytest.raises(RuntimeError, match="disagree"):
+            sweep_t2_noise([0.3, 0.6], [0.0, 0.01])
+
+    def test_infeasible_cells_are_checked_at_eta_1(self, monkeypatch):
+        # a pair sum inflated by half puts every Q/T above 1, so the closed
+        # form calls each cell infeasible; the check must read the statistic
+        # of the cells themselves, not T - Q from the same wrong sums
+        sums = search.t2_triple_and_pair_sums
+
+        def inflated(probs):
+            triple, pair = sums(probs)
+            return triple, pair * 1.5
+
+        monkeypatch.setattr(search, "t2_triple_and_pair_sums", inflated)
+        with pytest.raises(CrossCheckError, match="infeasible but eta=1 violates"):
             sweep_t2_noise([0.3, 0.6], [0.0, 0.01])
