@@ -18,9 +18,9 @@ settings file's JSON schema with its ``noise_p`` and ``efficiencies``,
 and the ``--out`` path), so a malformed invocation exits before numpy is
 imported.  The numeric stage (`_numeric_stage`) then imports every
 numeric module in one step, builds the states and tensors and computes.
-It rejects only what the numeric types check: a state whose norm is off
-1 (``PureState``) and theta within ``SIN_FLOOR`` of 0 or pi
-(``ThetaSetting``).
+It rejects only a state whose norm is off 1 (``PureState``), theta within
+``SIN_FLOOR`` of 0 or pi (``ThetaSetting``) and a sweep grid that numpy
+cannot allocate.
 
 All angles are radians.  Exit codes: 0 success, 1 verification or
 violation-expectation failure, 2 usage or parse error.
@@ -229,8 +229,8 @@ def load_settings(path: str) -> SettingsInput:
 
 def check_settings_flags(args) -> SettingsInput:
     """The settings of ``evaluate`` and ``cde``: a file or ``--theta``, with
-    ``--p`` and ``--eta`` in place of the file's ``noise_p`` and
-    ``efficiencies``."""
+    ``--p`` in place of the file's ``noise_p`` and, for ``evaluate``,
+    ``--eta`` in place of its ``efficiencies``."""
     if (args.settings is None) == (args.theta is None):
         raise SettingsFileError("provide exactly one of --settings or --theta")
     if args.settings is not None:
@@ -244,7 +244,7 @@ def check_settings_flags(args) -> SettingsInput:
         with _usage_errors("invalid --p"):
             noise = NoiseLevel(args.p)
         payload["noise_p"] = args.p
-    if args.eta is not None:
+    if getattr(args, "eta", None) is not None:
         with _usage_errors("invalid --eta"):
             parts = [float(v) for v in args.eta.split(",")]
             if len(parts) != 3:
@@ -532,7 +532,10 @@ def _sweep_csv(rows, n: int):
 
 
 def cmd_sweep(args, grids: tuple[tuple, tuple]) -> int:
-    theta_grid, p_grid = (np.linspace(*grid) for grid in grids)
+    try:
+        theta_grid, p_grid = (np.linspace(*grid) for grid in grids)
+    except MemoryError as exc:  # numpy refuses a grid it cannot allocate
+        raise SettingsFileError(f"invalid sweep grid: {exc}") from exc
     with _usage_errors("invalid sweep grid"):
         rows = sweep_t2_noise(theta_grid, p_grid)
     atomic_write_text(args.out, _sweep_csv(rows, len(theta_grid)))
@@ -571,11 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--settings", help="settings JSON file")
         p.add_argument("--theta", type=float, help="theta-family shortcut (radians)")
         p.add_argument("--p", type=float, help="white-noise weight")
-        p.add_argument("--eta", help="detector efficiencies a,b,c")
         p.add_argument("--json", action="store_true")
 
     evaluate = sub.add_parser("evaluate", help="evaluate both inequalities")
     add_settings_flags(evaluate)
+    evaluate.add_argument("--eta", help="detector efficiencies a,b,c")
     evaluate.set_defaults(check=check_settings_flags, func=cmd_evaluate)
 
     cde = sub.add_parser("cde", help="cutoff efficiency of fixed settings")

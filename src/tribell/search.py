@@ -41,6 +41,7 @@ from .qcore import (
     _frozen,
     behavior_from_settings,
     density_from_pure,
+    measurement_basis,
     pure_behavior_probabilities,
     validated_probabilities,
 )
@@ -167,13 +168,18 @@ def _random_start(rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the eigenvalue-reduced objective over the 12 measurement angles
 #
-# The k-party rows of a form, summed, read <psi|A_k|psi> for a Hermitian 8x8
-# operator A_k: each entry P(abc|xyz) is the expectation of a product of the
-# three parties' projectors.  At symmetric efficiency eta the observed form
-# violates iff eta^3 <A_3> + eta^2 <A_2> + eta <A_1> > 0, so some state
-# violates at eta iff lambda_max(eta A_3 + A_2 + A_1 / eta) > 0, and the top
-# eigenvector is the best state for the given measurements (the state step of
-# the see-saw of Pal & Vertesi, PRA 82, 022116 (2010), solved exactly).
+# Each party's two measurements give a 4x2 matrix U: the conjugated rows of
+# its `measurement_basis`, indexed (setting, outcome) by component.  Then
+# V = U_A (x) U_B (x) U_C maps a state to its 64 Born amplitudes, and entry
+# (x a, y b, z c) of V psi is the amplitude whose square
+# `pure_behavior_probabilities` reads as P(abc|xyz).  The k-party rows of a
+# form, summed and put in that order as w_k, read <psi|A_k|psi> for the
+# Hermitian 8x8 operator A_k = V^H diag(w_k) V.  At symmetric efficiency
+# eta the observed form violates iff eta^3 <A_3> + eta^2 <A_2> + eta <A_1>
+# > 0, so some state violates at eta iff
+# lambda_max(eta A_3 + A_2 + A_1 / eta) > 0, and the top eigenvector is the
+# best state for the given measurements (the state step of the see-saw of
+# Pal & Vertesi, PRA 82, 022116 (2010), solved exactly).
 
 # The eigenvalue floor is VIOLATION_TOL: a floor of 1e-12 drives the
 # probability form to triple sums near 1e-8, where the public path
@@ -181,62 +187,44 @@ def _random_start(rng: np.random.Generator) -> np.ndarray:
 # floor in 4-8 steps; the cap bounds the bisection fallback
 _NEWTON_STEPS = 60
 
-# entry (outcome o, setting s) of one party reads Pi^s for o = 0 and I - Pi^s
-# for o = 1, over that party's operators (I, Pi^0, Pi^1)
-_OUTCOME_OPERATORS = np.zeros((2, 2, 3))
-_OUTCOME_OPERATORS[0, [0, 1], [1, 2]] = 1.0
-_OUTCOME_OPERATORS[1, :, 0] = 1.0
-_OUTCOME_OPERATORS[1, [0, 1], [1, 2]] = -1.0
-
 
 @cache
 def _operator_coefficients(kind: str) -> np.ndarray:
-    """A_3, A_2, A_1 of one inequality as coefficients over the products of
-    each party's (I, Pi^0, Pi^1), shape (3, 3, 3, 3): the sums of the 3-, 2-
-    and 1-party rows of `SVETLICHNY_FORM`, or of reading 0 of `T2_FORMS`,
-    where A_3 = T, A_2 = -Q and A_1 = 0."""
+    """w_3, w_2, w_1 of one inequality over the Born amplitudes in (x, a, y,
+    b, z, c) order, shape (3, 64): the sums of the 3-, 2- and 1-party rows
+    of `SVETLICHNY_FORM`, or of reading 0 of `T2_FORMS`, where A_3 = T,
+    A_2 = -Q and A_1 = 0."""
     rows = _rows_by_size(SVETLICHNY_FORM if kind == "svetlichny" else T2_FORMS[0])
-    return np.einsum("kabcxyz,axu,byv,czw->kuvw", rows.reshape((3,) + (2,) * 6),
-                     _OUTCOME_OPERATORS, _OUTCOME_OPERATORS, _OUTCOME_OPERATORS)
+    # [a, b, c, x, y, z] -> [x, a, y, b, z, c]
+    return _frozen(rows.reshape((3,) + (2,) * 6).transpose(0, 4, 1, 5, 2, 6, 3).reshape(3, 64))
 
 
-@cache
-def _pauli_products() -> np.ndarray:
-    """Kronecker products of three of (I, X, Y, Z), shape (64, 8, 8)."""
-    sigma = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    return np.einsum("iab,jcd,kef->ijkacebdf", sigma, sigma, sigma).reshape(64, 8, 8)
+# d/d polar of `measurement_basis` takes outcome 0 to -1/2 times outcome 1
+# and outcome 1 to 1/2 times outcome 0, and d/d azimuth multiplies
+# component 1 by i.  Below, the same maps act on the conjugated basis
+# flattened to (outcome, component), shape (angle, 4, 4); there the
+# azimuth map multiplies by -i
+_BASIS_DERIVATIVES = np.array([np.kron([[0.0, -0.5], [0.5, 0.0]], np.eye(2)),
+                               np.diag([0.0, -1j, 0.0, -1j])])
 
 
 def _local_paulis(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each party's (I, Pi^0, Pi^1) in the Pauli basis (I, X, Y, Z), shape
-    (3, 3, 4), where Pi^s = (I + n_s . sigma) / 2 is the outcome-0 projector
-    of `measurement_basis` at setting s; and the derivatives of the Bloch
-    vectors n_s in (polar, azimuth), shape (3, 2, 2, 3)."""
-    sin_p, cos_p = np.sin(angles[..., 0]), np.cos(angles[..., 0])
-    sin_a, cos_a = np.sin(angles[..., 1]), np.cos(angles[..., 1])
-    local = np.zeros((3, 3, 4))
-    local[:, 0, 0] = 1.0
-    local[:, 1:, 0] = 0.5
-    local[:, 1:, 1] = 0.5 * sin_p * cos_a
-    local[:, 1:, 2] = 0.5 * sin_p * sin_a
-    local[:, 1:, 3] = 0.5 * cos_p
-    d_bloch = np.zeros((3, 2, 2, 3))
-    d_bloch[:, :, 0, 0] = cos_p * cos_a
-    d_bloch[:, :, 0, 1] = cos_p * sin_a
-    d_bloch[:, :, 0, 2] = -sin_p
-    d_bloch[:, :, 1, 0] = -sin_p * sin_a
-    d_bloch[:, :, 1, 1] = sin_p * cos_a
-    return local, d_bloch
+    """Each party's U, the conjugated `measurement_basis` at its angles,
+    shape (party, setting, outcome, component); and the derivatives of U in
+    (polar, azimuth), shape (party, setting, angle, outcome, component),
+    read off U itself through `_BASIS_DERIVATIVES`."""
+    local = np.conj(measurement_basis(angles[..., 0], angles[..., 1]))
+    return local, (_BASIS_DERIVATIVES @ local.reshape(3, 2, 1, 4, 1)).reshape(3, 2, 2, 2, 2)
 
 
 def _row_operators(coefficients: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """A_3, A_2, A_1 as 8x8 matrices, shape (3, 8, 8), from their
-    coefficients and the parties' operators of `_local_paulis`."""
-    a, b, c = local
-    products = (a[:, None, None, :, None, None] * b[None, :, None, None, :, None]
-                * c[None, None, :, None, None, :]).reshape(27, 64)
-    operators = coefficients.reshape(3, 27) @ products @ _pauli_products().reshape(64, 64)
-    return operators.reshape(3, 8, 8)
+    """A_3, A_2, A_1 as 8x8 matrices, shape (3, 8, 8): V^H diag(w_k) V for
+    the rows w_k of `_operator_coefficients` and V = U_A (x) U_B (x) U_C
+    from the parties' U of `_local_paulis`."""
+    a, b, c = np.reshape(local, (3, 4, 2))
+    v = (a[:, None, None, :, None, None] * b[None, :, None, None, :, None]
+         * c[None, None, :, None, None, :]).reshape(64, 8)
+    return v.conj().T @ (coefficients[:, :, None] * v)
 
 
 def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
@@ -248,12 +236,14 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
     falls to `VIOLATION_TOL`, left of eta = 1: Newton steps from eta = 1 on
     eigh alone, kept inside a bracket that falls back to bisection.  Its
     gradient is -(d lambda / d angles) / (d lambda / d eta), both by
-    Hellmann-Feynman at the top eigenvector.  When lambda(1) is at most the
-    floor nothing violates at eta = 1, and the value is 1 + penalty_weight *
-    (VIOLATION_TOL - lambda(1)), with its gradient.
+    Hellmann-Feynman at the top eigenvector, the first through the
+    derivatives of the bases of `_local_paulis`.  When lambda(1) is at most
+    the floor nothing violates at eta = 1, and the value is
+    1 + penalty_weight * (VIOLATION_TOL - lambda(1)), with its gradient.
     """
-    local, d_bloch = _local_paulis(np.reshape(angles, (3, 2, 2)))
-    a3, a2, a1 = _row_operators(coefficients, local)
+    local, derivatives = _local_paulis(np.reshape(angles, (3, 2, 2)))
+    operators = _row_operators(coefficients, local)
+    a3, a2, a1 = operators
 
     def top(eta):
         values, vectors = np.linalg.eigh(eta * a3 + a2 + a1 / eta)
@@ -263,7 +253,7 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
         return float(np.real(state.conj() @ (a3 - a1 / eta**2) @ state))
 
     # eigh resolves lambda to a few ulp of the norms of the three terms
-    resolution = 16.0 * np.finfo(float).eps * np.linalg.norm([a3, a2, a1], axis=(1, 2))
+    resolution = 16.0 * np.finfo(float).eps * np.linalg.norm(operators, axis=(1, 2))
     eta, lo, hi = 1.0, 0.0, 1.0
     lam, state = top(eta)
     violated = lam > VIOLATION_TOL
@@ -279,23 +269,22 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
         eta = step if lo < step < hi else 0.5 * (lo + hi)
         lam, state = top(eta)
 
-    # d lambda / d (I, Pi^0, Pi^1) of each party: lambda = <state|A|state> is
-    # multilinear in the parties' operators, so each party's derivative
-    # contracts the coefficients with the other two and the state's Pauli
-    # expectations
-    pauli = _pauli_products().reshape(512, 8)
-    expectations = ((pauli @ state).reshape(64, 8) @ state.conj()).real.reshape(4, 4, 4)
-    scaled = eta * coefficients[0] + coefficients[1] + coefficients[2] / eta
-    d_lambda = np.empty((3, 2, 2))
-    for party, order in enumerate(((0, 1, 2), (1, 0, 2), (2, 0, 1))):
-        x, y = local[order[1]], local[order[2]]
-        others = (x[:, None, :, None] * y[None, :, None, :]).reshape(9, 16)
-        d_local = (scaled.transpose(order).reshape(3, 9) @ others
-                   @ expectations.transpose(order).reshape(4, 16).T)
-        # Pi^s = (I + n_s . sigma) / 2, so d lambda / d n_s is half the
-        # derivative along the Pauli coefficients of row 1 + s
-        d_lambda[party] = 0.5 * np.einsum("si,sai->sa", d_local[1:, 1:], d_bloch[party])
-    d_lambda = d_lambda.reshape(-1)
+    # lambda = sum_e w_e |phi_e|^2, with phi = V state and
+    # w = eta w_3 + w_2 + w_1 / eta, so d lambda = 2 Re sum_e w_e conj(phi_e)
+    # d phi_e, and phi is linear in each party's U.  phi is built party C,
+    # then B, then A, as in `pure_behavior_probabilities`, and w conj(phi)
+    # goes back through the same steps: each party's d lambda / d U
+    # contracts it with the other two parties' U and the state
+    u_a, u_b, u_c = local.reshape(3, 4, 2)
+    via_c = state.reshape(2, 2, 2) @ u_c.T             # [i, j, zc]
+    via_bc = (u_b @ via_c).reshape(2, 16)              # [i, yb zc]
+    weights = ((eta, 1.0, 1.0 / eta) @ coefficients).reshape(4, 16)
+    back = weights * (u_a @ via_bc).conj()             # [xa, yb zc]
+    back_a = (u_a.T @ back).reshape(2, 4, 4)           # [i, yb, zc]
+    d_local = np.stack([back @ via_bc.T,
+                        (back_a @ via_c.transpose(0, 2, 1)).sum(axis=0),
+                        (u_b.T @ back_a).reshape(4, 4).T @ state.reshape(4, 2)])
+    d_lambda = 2.0 * (derivatives.reshape(3, 2, 2, 4) @ d_local.reshape(3, 2, 4, 1)).real.ravel()
     if not violated:
         return 1.0 + penalty_weight * (VIOLATION_TOL - lam), -penalty_weight * d_lambda, state
     # lambda rises through the floor at the cutoff; a flat crossing has no

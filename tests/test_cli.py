@@ -257,6 +257,14 @@ class TestSweep:
         assert (tmp_path / "sweep.csv").stat().st_size > 990_000
         assert peak < 4_000_000
 
+    def test_grid_too_large_to_allocate(self, capsys, tmp_path):
+        # numpy refuses the 10^12-point grid at once, so nothing is allocated
+        code, out, err = run(capsys, "sweep", "--theta-grid", "0.01:1:1000000000000",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid sweep grid: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_grid_spec(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--theta-grid", "0.5:0.1:5",
                            "--p-grid", "0:0.02:3", "--out", str(tmp_path / "x.csv"))
@@ -350,6 +358,23 @@ class TestSettingsFiles:
         assert code == 0
         assert "observed_t2" in record["outputs"]
         assert record["outputs"]["observed_t2"] != record["outputs"]["ideal_t2"]
+
+    def test_cde_takes_no_eta_flag(self, capsys, tmp_path):
+        # the cutoff is the symmetric efficiency itself, so cde has no --eta
+        with pytest.raises(SystemExit) as exc:
+            main(["cde", "--theta", "0.3", "--inequality", "t2", "--eta", "0.9,0.9,0.9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eta" in capsys.readouterr().err
+        # a settings file may still carry efficiencies, which cde leaves aside
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "family": {"name": "theta", "parameters": {"theta": 0.3}},
+            "efficiencies": [0.9, 0.9, 0.9],
+        }))
+        code, out, _ = run(capsys, "cde", "--settings", str(path), "--inequality", "t2", "--json")
+        _, plain, _ = run(capsys, "cde", "--theta", "0.3", "--inequality", "t2", "--json")
+        assert code == 0
+        assert json.loads(out)["outputs"] == json.loads(plain)["outputs"]
 
     def test_flag_errors_come_before_theta(self, capsys):
         code, _, err = run(capsys, "evaluate", "--theta", "4", "--p", "2")

@@ -21,6 +21,7 @@ from tribell.qcore import (
     PureState,
     behavior_from_settings,
     density_from_pure,
+    measurement_basis,
     pure_behavior_probabilities,
 )
 from tribell.search import (
@@ -276,6 +277,48 @@ class TestEigenReduction:
                            for step in h * np.eye(12)]
             np.testing.assert_allclose(gradient, differences, rtol=0, atol=1e-6)
             checked += 1
+
+    def test_basis_derivatives_match_central_differences(self, rng):
+        # `_local_paulis` reads the derivatives off the bases; central
+        # differences of `measurement_basis` pin them to its one definition,
+        # at random angles and at the poles
+        h = 1e-6
+
+        def conjugated_basis(angles):
+            return np.conj(measurement_basis(angles[..., 0], angles[..., 1]))
+
+        for _ in range(10):
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=(3, 2, 2))
+            angles[rng.integers(3), :, 0] = 0.0, np.pi
+            local, derivatives = search._local_paulis(angles)
+            assert local.tobytes() == conjugated_basis(angles).tobytes()
+            for k, step in enumerate(h * np.eye(2)):
+                differences = (conjugated_basis(angles + step)
+                               - conjugated_basis(angles - step)) / (2.0 * h)
+                np.testing.assert_allclose(derivatives[:, :, k], differences, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["svetlichny", "t2"])
+    @pytest.mark.parametrize("settings", [
+        theta_measurements(ThetaSetting(0.3)),
+        theta_measurements(ThetaSetting(0.9)),
+        ghz_setting()[1],
+    ], ids=["theta-0.3", "theta-0.9", "ghz"])
+    def test_gradient_at_family_and_ghz_angles(self, kind, settings):
+        # these angles have polar 0 and azimuth 0, which random angles never hit
+        coefficients = search._operator_coefficients(kind)
+        angles = settings.angles().reshape(-1)
+        value, gradient, _ = search._eigen_cutoff(coefficients, angles, 1.0)
+        # Hellmann-Feynman needs a simple top eigenvalue
+        local, _ = search._local_paulis(settings.angles())
+        a3, a2, a1 = search._row_operators(coefficients, local)
+        eta = min(value, 1.0)
+        second, first = np.linalg.eigvalsh(eta * a3 + a2 + a1 / eta)[-2:]
+        assert first - second >= 1e-10
+        h = 1e-6
+        differences = [(search._eigen_cutoff(coefficients, angles + step, 1.0)[0]
+                        - search._eigen_cutoff(coefficients, angles - step, 1.0)[0]) / (2.0 * h)
+                       for step in h * np.eye(12)]
+        np.testing.assert_allclose(gradient, differences, rtol=0, atol=1e-6)
 
     def test_correlator_seed_0_single_restart(self):
         # the 28-dimensional Nelder-Mead search found no violation here
