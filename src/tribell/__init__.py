@@ -28,6 +28,7 @@ _EXPORTS = {
     "MarginalInconsistencyError": "errors",
     "NoViolationError": "errors",
     "NoiseLevel": "inputs",
+    "NoiseSweep": "search",
     "NormalizationError": "errors",
     "PureState": "qcore",
     "QubitMeasurement": "qcore",

@@ -116,10 +116,20 @@ class SettingsInput(NamedTuple):
 
 
 def settings_digest(payload: dict) -> str:
-    import hashlib  # here, not at module import: it loads OpenSSL
+    """SHA-256 hex digest of the payload's canonical JSON."""
+    # the interpreter's built-in SHA-256 (_sha2 from Python 3.12, _sha256
+    # before), not hashlib's: hashlib maps OpenSSL's libcrypto, about 3.5 MB
+    # of a command's peak resident set.  The digest is the same bytes.
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:  # an interpreter built without them
+            from hashlib import sha256
 
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _require(cond: bool, message: str) -> None:
@@ -517,18 +527,17 @@ def cmd_mde(args, inputs: tuple[SearchConfig, str]) -> int:
     return 0
 
 
-def _sweep_csv(rows, n: int):
+def _sweep_csv(sweep):
     """The sweep's CSV text in chunks: the header, then one chunk per noise
-    row of ``n`` thetas."""
+    row, read from the crossings of the `NoiseSweep` ``sweep``."""
     yield "theta,p,eta_min\n"
-    # rows run over every theta at each p in turn, so each grid value's
-    # repr is taken once, from its first row
-    theta_text = [repr(row.theta) for row in rows[:n]]
-    for start in range(0, len(rows), n):
-        p_text = repr(rows[start].p)
+    # each grid value's repr is taken once
+    theta_text = [repr(theta) for theta in sweep.thetas]
+    for p, crossings in zip(sweep.ps, sweep.crossings):
+        p_text = repr(p)
         yield "".join(
-            f"{theta},{p_text},{'none' if row.eta_min is None else f'{row.eta_min:.12f}'}\n"
-            for theta, row in zip(theta_text, rows[start:start + n]))
+            f"{theta},{p_text},{'none' if eta is None else f'{eta:.12f}'}\n"
+            for theta, eta in zip(theta_text, crossings))
 
 
 def cmd_sweep(args, grids: tuple[tuple, tuple]) -> int:
@@ -537,19 +546,21 @@ def cmd_sweep(args, grids: tuple[tuple, tuple]) -> int:
     except MemoryError as exc:  # numpy refuses a grid it cannot allocate
         raise SettingsFileError(f"invalid sweep grid: {exc}") from exc
     with _usage_errors("invalid sweep grid"):
-        rows = sweep_t2_noise(theta_grid, p_grid)
-    atomic_write_text(args.out, _sweep_csv(rows, len(theta_grid)))
-    feasible = [row.p for row in rows if row.eta_min is not None]
+        sweep = sweep_t2_noise(theta_grid, p_grid)
+    atomic_write_text(args.out, _sweep_csv(sweep))
+    # feasible cells per noise row
+    feasible = [len(crossings) - crossings.count(None) for crossings in sweep.crossings]
     outputs = {
-        "rows": len(rows),
-        "feasible_rows": len(feasible),
-        "max_feasible_p": max(feasible) if feasible else None,
+        "rows": len(sweep),
+        "feasible_rows": sum(feasible),
+        "max_feasible_p": max((p for p, n in zip(sweep.ps, feasible) if n), default=None),
         "out": args.out,
     }
     payload = {"theta_grid": args.theta_grid, "p_grid": args.p_grid}
     emit(args, result_record(args, payload, outputs, violated={}), [
-        f"wrote {len(rows)} rows to {args.out}",
-        f"feasible rows: {len(feasible)}; max feasible p: {outputs['max_feasible_p']}",
+        f"wrote {outputs['rows']} rows to {args.out}",
+        f"feasible rows: {outputs['feasible_rows']}; "
+        f"max feasible p: {outputs['max_feasible_p']}",
     ])
     return 0
 

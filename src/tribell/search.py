@@ -11,7 +11,9 @@ tables.
 
 from __future__ import annotations
 
+import operator
 import time
+from collections.abc import Iterator
 from functools import cache
 from typing import NamedTuple
 
@@ -116,6 +118,38 @@ class SweepRow(NamedTuple):
     theta: float
     p: float
     eta_min: float | None
+
+
+class NoiseSweep:
+    """The crossings of a (theta, p) grid, read as `SweepRow`s in (p, theta)
+    order: a read-only sequence, with ``len``, integer indexing and
+    iteration.
+
+    ``thetas`` and ``ps`` are the sorted grids, and ``crossings[i][j]`` is
+    eta_min at (``thetas[j]``, ``ps[i]``), or None.  A row is built only
+    when it is indexed or iterated, so a caller that reads the crossings
+    directly holds no row at all.
+    """
+
+    __slots__ = ("thetas", "ps", "crossings")
+
+    def __init__(self, thetas: tuple[float, ...], ps: tuple[float, ...],
+                 crossings: tuple[tuple[float | None, ...], ...]):
+        self.thetas, self.ps, self.crossings = thetas, ps, crossings
+
+    def __len__(self) -> int:
+        return len(self.ps) * len(self.thetas)
+
+    def __getitem__(self, index: int) -> SweepRow:
+        # a range indexes as the flat grid does: negative from the end,
+        # IndexError past it
+        i, j = divmod(range(len(self))[operator.index(index)], len(self.thetas))
+        return SweepRow(self.thetas[j], self.ps[i], self.crossings[i][j])
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        for p, crossings in zip(self.ps, self.crossings):
+            for theta, eta in zip(self.thetas, crossings):
+                yield SweepRow(theta, p, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +539,9 @@ def noisy_t2_min_efficiency(theta: ThetaSetting, noise: NoiseLevel) -> float | N
     return _t2_noise_crossings(tensor.probs[None])[0]
 
 
-def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
-    """One row per (theta, p) grid point, ordered lexicographically by (p, theta).
+def sweep_t2_noise(theta_grid, p_grid) -> NoiseSweep:
+    """The crossing of every (theta, p) grid point, as a `NoiseSweep` of
+    `SweepRow`s ordered lexicographically by (p, theta).
 
     The ideal tensors come from one stacked call of the pure-state Born
     rule, `qcore.pure_behavior_probabilities`, and by linearity of the
@@ -517,8 +552,8 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
     one p, is one stack of tensors whose crossings `_t2_noise_crossings`
     reads and cross-checks.
     """
-    thetas = sorted(float(t) for t in theta_grid)
-    ps = sorted(float(p) for p in p_grid)
+    thetas = tuple(sorted(float(t) for t in theta_grid))
+    ps = tuple(sorted(float(p) for p in p_grid))
     if not thetas or not ps:
         raise ValueError("grids must be nonempty")
     settings = [ThetaSetting(t) for t in thetas]  # domain check
@@ -529,7 +564,7 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
         np.array([theta_state(s).amplitudes for s in settings]),
         np.array([theta_measurements(s).bases() for s in settings]))
 
-    rows = []
+    crossings = []
     # `_t2_noise_crossings` returns floats and keeps nothing of its input,
     # so one buffer serves every row
     noisy = np.empty_like(ideal)
@@ -537,6 +572,5 @@ def sweep_t2_noise(theta_grid, p_grid) -> list[SweepRow]:
         # (1 - p) * ideal + p * uniform, every entry of uniform being 1/8
         np.multiply(ideal, 1.0 - p, out=noisy)
         noisy += p * 0.125
-        crossings = _t2_noise_crossings(noisy)
-        rows += [SweepRow(t, p, eta) for t, eta in zip(thetas, crossings)]
-    return rows
+        crossings.append(tuple(_t2_noise_crossings(noisy)))
+    return NoiseSweep(thetas, ps, tuple(crossings))

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -256,6 +258,34 @@ class TestSweep:
         assert code == 0
         assert (tmp_path / "sweep.csv").stat().st_size > 990_000
         assert peak < 4_000_000
+
+    def test_default_sweep_builds_no_rows(self, capsys, tmp_path):
+        # the CSV and the record read the crossings of each noise row where
+        # they lie, so none of the 20,000 SweepRows is built
+        tribell.cli._numeric_stage()
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "sweep", "--out", str(tmp_path / "sweep.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("p_grid, ps", [
+        ("0:0.1:5", np.linspace(0.0, 0.1, 5)),  # feasible cells up to p = 0.05 only
+        ("0.075:0.1:2", np.linspace(0.075, 0.1, 2)),  # none
+    ])
+    def test_record_counts_the_rows_feasible_cells(self, capsys, tmp_path, p_grid, ps):
+        code, out, _ = run(capsys, "sweep", "--theta-grid", "0.05:1.2:7", "--p-grid", p_grid,
+                           "--out", str(tmp_path / "sweep.csv"), "--json")
+        assert code == 0
+        rows = sweep_t2_noise(np.linspace(0.05, 1.2, 7), ps)
+        feasible = [row.p for row in rows if row.eta_min is not None]
+        outputs = json.loads(out)["outputs"]
+        assert outputs["rows"] == len(rows)
+        assert outputs["feasible_rows"] == len(feasible)
+        assert outputs["max_feasible_p"] == (max(feasible) if feasible else None)
 
     def test_grid_too_large_to_allocate(self, capsys, tmp_path):
         # numpy refuses the 10^12-point grid at once, so nothing is allocated
@@ -582,3 +612,52 @@ class TestRunRecord:
         record = json.loads(out)
         payload = {"family": {"name": "theta", "parameters": {"theta": 0.4}}}
         assert record["input_digest"] == settings_digest(payload)
+
+
+def _hashlib_digest(payload: dict) -> str:
+    """The reference digest: hashlib's SHA-256 of the canonical JSON."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestSettingsDigest:
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"family": {"name": "théta ∆ 量子 😀", "parameters": {"theta": -0.0}}},
+        {"explicit": {"state": [[0.5, -0.0]] * 8, "measurements": [[-0.0, 1e-300]] * 6},
+         "noise_p": 0.0, "efficiencies": [1, 0.9, 5e-324]},
+        {"seed": 2**200, "restarts": -(10**40), "nested": [[[{"z": [1, [2, [3, {}]]]}]]]},
+        {"ключ": "tab\tnewline\n\u0000", "inequality": "t2", "": [None, True, False]},
+    ], ids=["empty", "non-ascii", "signed-zeros", "large-ints-nested", "control-chars"])
+    def test_equals_hashlib(self, payload):
+        assert settings_digest(payload) == _hashlib_digest(payload)
+
+    def test_falls_back_to_hashlib(self, monkeypatch):
+        # an interpreter built without the built-in hash modules
+        payload = {"inequality": "t2", "restarts": 3, "seed": 5}
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert settings_digest(payload) == _hashlib_digest(payload)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(payload=st.dictionaries(st.text(), _json, max_size=4))
+    def test_equals_hashlib_on_any_payload(self, payload):
+        assert settings_digest(payload) == _hashlib_digest(payload)
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["bounds", "verify", "--inequality", "svetlichny"], {"inequality": "svetlichny"}),
+        (["evaluate", "--theta", "0.4", "--p", "0.01", "--eta", "1,0.95,0.9"],
+         {"family": {"name": "theta", "parameters": {"theta": 0.4}}, "noise_p": 0.01,
+          "efficiencies": [1.0, 0.95, 0.9]}),
+        (["cde", "--theta", "0.4", "--inequality", "t2"],
+         {"family": {"name": "theta", "parameters": {"theta": 0.4}}}),
+        (["mde", "--inequality", "t2", "--restarts", "1", "--seed", "4", "--max-iterations", "1500",
+          "--out", "{out}"], {"inequality": "t2", "restarts": 1, "seed": 4}),
+        (["sweep", "--theta-grid", "0.1:1:5", "--p-grid", "0:0.02:3", "--out", "{out}"],
+         {"theta_grid": "0.1:1:5", "p_grid": "0:0.02:3"}),
+    ], ids=["bounds", "evaluate", "cde", "mde", "sweep"])
+    def test_record_digest_equals_hashlib(self, capsys, tmp_path, argv, payload):
+        argv = [arg.format(out=tmp_path / "out") for arg in argv]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["input_digest"] == _hashlib_digest(payload)

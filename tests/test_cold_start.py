@@ -1,9 +1,11 @@
 """Cold start and exit: no command imports scipy; importing the CLI does
 not import dataclasses, whose classes generate their methods with exec,
-nor hashlib and datetime, which only a result record needs; the input
-stage rejects malformed input before numpy is imported; ``mde`` leaves
-numpy.ma out; and the process entry exits with `main`'s code and a frozen
-collector heap, while `main` leaves the collector as it found it.
+nor hashlib and datetime; no command but ``mde`` loads OpenSSL's binding
+``_hashlib``, as the record's digest comes from the interpreter's built-in
+SHA-256; the input stage rejects malformed input before numpy is
+imported; ``mde`` leaves numpy.ma out; and the process entry exits with
+`main`'s code and a frozen collector heap, while `main` leaves the
+collector as it found it.
 
 Each check of ``sys.modules`` runs in a fresh interpreter, because this
 test process may already have the module loaded.
@@ -84,6 +86,24 @@ def test_commands_without_an_optimizer_leave_scipy_out(tmp_path):
         ["mde", "--inequality", "t2", "--restarts", "0"],
     )
     assert results == [[0, False]] * 5 + [[2, False]] * 3
+
+
+def test_commands_but_mde_leave_openssl_out(tmp_path):
+    # the record's digest comes from the interpreter's built-in SHA-256, so
+    # OpenSSL's binding _hashlib, which hashlib loads, stays out; mde is
+    # left out, as numpy.random loads it (secrets imports hmac, which
+    # imports hashlib)
+    results = run_commands(
+        tmp_path,
+        ["bounds", "verify", "--inequality", "svetlichny", "--json"],
+        ["bounds", "verify", "--inequality", "t2"],
+        ["evaluate", "--theta", "0.3", "--json"],
+        ["cde", "--theta", "0.3", "--inequality", "t2"],
+        ["sweep", "--theta-grid", "0.1:1:5", "--p-grid", "0:0.02:3", "--out", "sweep.csv",
+         "--json"],
+        watched="_hashlib",
+    )
+    assert results == [[0, False]] * 5
 
 
 def test_mde_leaves_scipy_out(tmp_path):

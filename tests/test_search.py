@@ -27,6 +27,7 @@ from tribell.qcore import (
 from tribell.search import (
     SearchConfig,
     SettingsParameterization,
+    SweepRow,
     minimize_svetlichny_cutoff,
     minimize_t2_cutoff,
     noisy_t2_min_efficiency,
@@ -499,3 +500,45 @@ class TestSweep:
         monkeypatch.setattr(search, "t2_triple_and_pair_sums", inflated)
         with pytest.raises(CrossCheckError, match="infeasible but eta=1 violates"):
             sweep_t2_noise([0.3, 0.6], [0.0, 0.01])
+
+
+class TestSweepSequence:
+    # unsorted on purpose: the sweep sorts both grids
+    THETAS, PS = [0.9, 0.3, 1.2, 0.6], [0.01, 0.0, 0.015]
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return sweep_t2_noise(self.THETAS, self.PS)
+
+    def test_len(self, rows):
+        assert len(rows) == 12
+
+    def test_iterates_in_p_then_theta_order(self, rows):
+        assert [(r.p, r.theta) for r in rows] == [
+            (p, t) for p in sorted(self.PS) for t in sorted(self.THETAS)]
+        assert all(isinstance(r, SweepRow) for r in rows)
+
+    def test_rows_equal_the_cells_swept_one_by_one(self, rows):
+        cells = [sweep_t2_noise([t], [p])[0] for p in sorted(self.PS) for t in sorted(self.THETAS)]
+        assert list(rows) == cells
+        # the grid holds feasible and infeasible cells alike
+        assert {r.eta_min is None for r in cells} == {True, False}
+
+    def test_indexing(self, rows):
+        listed = list(rows)
+        for i in range(-len(listed), len(listed)):
+            assert rows[i] == listed[i], i
+        for i in (len(listed), -len(listed) - 1, 10**20):
+            with pytest.raises(IndexError):
+                rows[i]
+        with pytest.raises(TypeError):
+            rows[1.0]
+
+    def test_read_only(self, rows):
+        with pytest.raises(TypeError):
+            rows[0] = SweepRow(0.3, 0.0, None)
+
+    def test_one_cell_unpacks(self):
+        (row,) = sweep_t2_noise([0.4], [0.0])
+        assert (row.theta, row.p) == (0.4, 0.0)
+        assert row.eta_min == pytest.approx(3 / (4 * np.cos(0.2) ** 2), abs=1e-9)
