@@ -16,11 +16,11 @@ probability that every party in S outputs 0.  These are the all-zero
 A detector that records a no-click as outcome 1 scales every all-zero
 probability of a subset by the product of its parties' efficiencies.  So
 the observed value of either form is a polynomial in the efficiencies
-whose coefficients are products of the ideal behavior with the rows, and
-the closed-form cutoffs are roots of that polynomial.  The statistics, the
-cutoff coefficients (alpha, beta, gamma and T, Q), the marginal checks and
-the exact classical bounds of `polytope` are all products with these
-arrays.
+whose coefficients are products of the ideal behavior with the rows.
+Every closed-form cutoff, and the critical third efficiency, is one root
+of such a polynomial, `cutoff_root`.  The statistics, the cutoff
+coefficients (alpha, beta, gamma and T, Q), the marginal checks and the
+exact classical bounds of `polytope` are all products with these arrays.
 """
 
 from __future__ import annotations
@@ -262,28 +262,30 @@ def svetlichny_coefficients(t: BehaviorTensor) -> SvetlichnyCoefficients:
 # ---------------------------------------------------------------------------
 # cutoff efficiencies
 
-def _quadratic_root(alpha: float, beta: float, gamma: float) -> float:
-    """Crossing of alpha*eta^2 + beta*eta - gamma = 0 below which a violation
-    with positive margin alpha + beta - gamma disappears: for alpha < 0 the
-    smaller of the two positive roots."""
-    if abs(alpha) < DEGENERATE_TOL:
-        return gamma / beta
-    disc = beta * beta + 4.0 * alpha * gamma
-    if alpha > 0:
-        return (-beta + np.sqrt(disc)) / (2.0 * alpha)
-    # a positive margin guarantees disc > 0 here
-    return (beta - np.sqrt(max(disc, 0.0))) / (2.0 * abs(alpha))
+def cutoff_root(c2, c1, c0):
+    """The crossing of c2*eta^2 + c1*eta + c0 below which a positive margin
+    c2 + c1 + c0 at eta = 1 disappears, of floats or elementwise of arrays.
+
+    Where |c2| < ``DEGENERATE_TOL`` it is -c0/c1, or +inf where c1 <= 0;
+    otherwise (-c1 + sqrt(max(c1^2 - 4*c2*c0, 0))) / (2*c2), which for
+    c2 < 0 is the smaller of the two positive roots, or -0.0 where it rounds to 0.
+    """
+    c2, c1, c0 = (np.asarray(c, dtype=float) for c in (c2, c1, c0))
+    linear = np.abs(c2) < DEGENERATE_TOL
+    numerator = np.where(linear, -c0, np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)) - c1)
+    with np.errstate(over="ignore"):  # a root past the float range is +inf, no crossing
+        root = np.divide(numerator, np.where(linear, c1, 2.0 * c2),
+                         out=np.full(numerator.shape, np.inf), where=~linear | (c1 > 0.0))
+    return _scalar_or_array(root)
 
 
 def svetlichny_cutoff(c: SvetlichnyCoefficients) -> float:
     """Symmetric efficiency at which the correlator violation switches on.
 
-    Solves alpha*eta^2 + beta*eta - gamma = 0 for the crossing below which
-    the violation disappears.  For alpha < 0 the parabola opens downward
-    and the relevant crossing is the smaller of its two positive roots.
-    A result of 0 means the violation persists at every positive
-    efficiency.  Invariant under common positive rescaling of the
-    coefficients.
+    The `cutoff_root` of (alpha, beta, -gamma), the crossing below which
+    the violation disappears.  A result of 0 means the violation persists
+    at every positive efficiency.  Invariant under common positive
+    rescaling of the coefficients.
     """
     alpha, beta, gamma = c.alpha, c.beta, c.gamma
     if abs(alpha) < DEGENERATE_TOL and beta < DEGENERATE_TOL:
@@ -291,7 +293,7 @@ def svetlichny_cutoff(c: SvetlichnyCoefficients) -> float:
     margin = c.violation_margin
     if margin <= VIOLATION_TOL:
         raise NoViolationError("settings do not violate at unit efficiency", deficit=-margin)
-    root = _quadratic_root(alpha, beta, gamma)
+    root = cutoff_root(alpha, beta, -gamma)
     if root < ZERO_ROOT:
         warnings.warn("cutoff is 0: violation persists at every positive efficiency")
         root = 0.0
@@ -308,16 +310,14 @@ def efficiencies_admit_violation(etas: EfficiencyTriple) -> bool:
 def critical_third_efficiency(eta_a: float, eta_b: float) -> float | None:
     """Third efficiency at which the necessary condition is exactly tight.
 
-    Solves 4*ea*eb*ec = ea*eb + ea*ec + eb*ec for ec.  Returns None when no
-    feasible third efficiency in (0, 1] exists.
+    The `cutoff_root` of the condition as a linear polynomial in ec,
+    (4*ea*eb - ea - eb)*ec - ea*eb.  Returns None when no feasible third
+    efficiency in (0, 1] exists.
     """
     for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"{name} = {eta} must lie in (0, 1]")
-    denom = 4.0 * eta_a * eta_b - eta_a - eta_b
-    if denom <= 0.0:
-        return None
-    ec = eta_a * eta_b / denom
+    ec = cutoff_root(0.0, 4.0 * eta_a * eta_b - eta_a - eta_b, -eta_a * eta_b)
     return ec if ec <= 1.0 else None
 
 
@@ -353,16 +353,14 @@ def t2_cutoff_symmetric(t_ideal: BehaviorTensor) -> float | None:
     """Symmetric-efficiency crossing of the probability-form inequality.
 
     For an ideal (unit-efficiency) tensor with sums T and Q the observed
-    value is eta^3*T - eta^2*Q, so the crossing sits at Q/T.  Returns None
-    when T <= 0 or the crossing exceeds 1 by more than ``CUTOFF_ROUNDING``
-    (no violation at any eta <= 1); a return of exactly 1.0 marks the
-    boundary case.  The rule is closed and has no floor on T - Q; see the
-    tolerance table of `qcore`.
+    value is eta^2*(eta*T - Q), so the crossing is the `cutoff_root` of
+    (0, T, -Q), Q/T.  Returns None when T <= 0 or the crossing exceeds 1 by
+    more than ``CUTOFF_ROUNDING`` (no violation at any eta <= 1); a return
+    of exactly 1.0 marks the boundary case.  The rule is closed and has no
+    floor on T - Q; see the tolerance table of `qcore`.
     """
     triple, pair = t2_triple_and_pair_sums(t_ideal)
-    if triple <= 0.0:
-        return None
-    ratio = pair / triple
+    ratio = cutoff_root(0.0, triple, -pair)
     if ratio > 1.0 + CUTOFF_ROUNDING:
         return None
     return min(ratio, 1.0)

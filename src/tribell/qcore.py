@@ -50,8 +50,8 @@ SLICE_SUM_TOL = 1e-10       # |setting slice sum - 1|: 8 entries, each clipped b
 VIOLATION_TOL = 1e-9        # rules above; statistics round to ~1e-15; MDE eigenvalue floor
 MARGINAL_TOL = 1e-8         # two readings of one marginal; Born tensors agree to ~1e-15
 NONNEGATIVE_TOL = 1e-9      # how far below 0 beta and gamma, sums of probabilities, round
-DEGENERATE_TOL = 1e-12      # |alpha| below it: the cutoff is linear; with beta, degenerate
-ZERO_ROOT = 1e-15           # correlator cutoff below it is reported as 0, with a warning
+DEGENERATE_TOL = 1e-12      # |c2| below it: `cutoff_root` is linear; alpha and beta, degenerate
+ZERO_ROOT = 1e-15           # `cutoff_root` of the correlator below it: reported as 0, warned
 CUTOFF_ROUNDING = 1e-12     # distance of Q/T from 1 that is rounding; the rules above
 CONVERGENCE_TOL = 1e-12     # both stopping tests of each MDE restart, as in L-BFGS-B
 REVERIFY_TOL = 1e-9         # certificate vs public path; they agree to about 1e-10

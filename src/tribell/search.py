@@ -26,9 +26,9 @@ from .inequality import (
     SVETLICHNY_FORM,
     T2_FORMS,
     _cutoff_coefficients,
-    _quadratic_root,
     _rows_by_size,
     _t2_terms,
+    cutoff_root,
     svetlichny_coefficients,
     svetlichny_cutoff,
     t2_statistic,
@@ -160,21 +160,21 @@ class NoiseSweep:
 def _fixed_cutoff(kind: str, pair, penalty_weight: float) -> float:
     """Cutoff of unit-norm amplitudes and 12 measurement angles, or 1 plus
     ``penalty_weight`` times the shortfall when they do not violate at unit
-    efficiency.  Violation is the verdicts' rule: a margin at eta = 1
-    (alpha + beta - gamma, or T - Q) above ``VIOLATION_TOL``."""
+    efficiency.  Violation is the verdicts' rule: a margin at eta = 1, the
+    sum of the coefficients (alpha, beta, -gamma) or (0, T, -Q), above
+    ``VIOLATION_TOL``; the cutoff is their `cutoff_root`."""
     amplitudes, angles = pair
     probs = pure_behavior_probabilities(amplitudes, SettingsTriple.from_angles(angles).bases())
     if kind == "svetlichny":
         alpha, beta, gamma = _cutoff_coefficients(probs)
-        margin = alpha + beta - gamma
+        coefficients = alpha, beta, -gamma
     else:
         triple, minus_q = _t2_terms(probs)
-        pair_sum = -minus_q[0]
-        margin = triple - pair_sum
+        coefficients = 0.0, triple, minus_q[0]
+    margin = sum(coefficients)
     if margin <= VIOLATION_TOL:
         return 1.0 + penalty_weight * max(-margin, 0.0)
-    # a positive margin keeps alpha and beta off the degenerate corner, and T > 0
-    return _quadratic_root(alpha, beta, gamma) if kind == "svetlichny" else pair_sum / triple
+    return cutoff_root(*coefficients)
 
 
 def _as_pair(point):
@@ -472,8 +472,9 @@ def minimize_t2_cutoff(cfg: SearchConfig,
                        initial: SettingsParameterization | None = None) -> SearchResult:
     """Minimize the probability-form symmetric cutoff over all settings.
 
-    The result can approach but never undercut 0.75: the signed triple
-    combination of any no-signaling tensor is at most 4/3 of its pair sum.
+    The result approaches 0.75 and should not undercut it, by the no-signaling
+    LP bound T <= 4/3 Q (Barrett et al., PRA 71, 022101 (2005)), which is not
+    yet certified here; the tests pin only the theta family's approach to 0.75.
     """
     return _multistart("t2", cfg, initial)
 
@@ -482,24 +483,23 @@ def minimize_t2_cutoff(cfg: SearchConfig,
 # noise analysis of the one-parameter family
 
 def _t2_noise_crossings(probs: np.ndarray) -> list[float | None]:
-    """Symmetric crossings Q/T of a stack of behavior arrays, cross-checked.
+    """Symmetric crossings of a stack of behavior arrays, cross-checked.
 
     ``probs`` has shape ``(n, 2, 2, 2, 2, 2, 2)``.  Each tensor is validated
     and clipped as a `BehaviorTensor` would be; its crossing is the
-    closed-form ratio r = Q/T of its pair and triple sums, or None unless
-    r < 1 - ``CUTOFF_ROUNDING`` (the strict rule of the tolerance table).
-    Two runtime checks keep the closed form honest: the statistic at eta = 1
-    must not violate on any tensor called infeasible, and the observed
-    statistic of every feasible tensor, eta^2 (eta T - Q) with its only
-    positive root at r, must be <= 0 at eta = max(r - b, 0) and > 0 at
-    eta = r + b (when that is <= 1), b = ``CROSSING_BRACKET``.  Both sides
-    of the bracket go through one channel call.  Either failure raises
-    `CrossCheckError`.
+    `cutoff_root` r of (0, T, -Q), from its triple and pair sums in one
+    stacked call, or None unless r < 1 - ``CUTOFF_ROUNDING`` (the strict
+    rule of the tolerance table).  Two runtime checks keep the closed form
+    honest: the statistic at eta = 1 must not violate on any tensor called
+    infeasible, and the observed statistic of every feasible tensor,
+    eta^2 (eta T - Q) with its only positive root at r, must be <= 0 at
+    eta = max(r - b, 0) and > 0 at eta = r + b (when that is <= 1),
+    b = ``CROSSING_BRACKET``.  Both sides of the bracket go through one
+    channel call.  Either failure raises `CrossCheckError`.
     """
     probs = validated_probabilities(probs)
     triple, pair = t2_triple_and_pair_sums(probs)
-    positive = triple > 0.0
-    ratio = np.divide(pair, triple, out=np.full_like(pair, np.inf), where=positive)
+    ratio = cutoff_root(0.0, triple, -pair)
     feasible = ratio < 1.0 - CUTOFF_ROUNDING
 
     # no strict violation at any eta <= 1 off the feasible set; cheap sanity

@@ -246,8 +246,8 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_default_sweep_never_holds_the_whole_csv(self, capsys, tmp_path):
-        # the 20,000 rows take about 2.1 MB of the heap; the CSV text, 1.0 MB
-        # joined, is written one noise row at a time beside them
+        # the CLI builds none of the 20,000 SweepRows (next test); the CSV
+        # text, 1.0 MB joined, is written one noise row at a time
         tribell.cli._numeric_stage()
         tracemalloc.start()
         try:

@@ -5,10 +5,16 @@ oracle (explicit Kronecker products and trace evaluation) before the
 package paths existed; closed forms are cross-checked against it.
 """
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_behavior
+from tribell import search
 from tribell.detector import EfficiencyTriple, observe, observed_probabilities
 from tribell.errors import (
     DegenerateCoefficientsError,
@@ -23,6 +29,7 @@ from tribell.inequality import (
     T2_FORMS,
     SvetlichnyCoefficients,
     critical_third_efficiency,
+    cutoff_root,
     efficiencies_admit_violation,
     svetlichny_coefficients,
     svetlichny_corr_value,
@@ -35,6 +42,8 @@ from tribell.inequality import (
     theta_violation_threshold,
 )
 from tribell.qcore import (
+    DEGENERATE_TOL,
+    VIOLATION_TOL,
     BehaviorTensor,
     behavior_from_settings,
     density_from_pure,
@@ -178,6 +187,71 @@ class TestSvetlichnyCoefficients:
             SvetlichnyCoefficients(alpha=0.0, beta=-1.0, gamma=0.0)
 
 
+def quadratic_root_reference(alpha, beta, gamma):
+    """The correlator cutoff as written before `cutoff_root`: the crossing
+    of alpha*eta^2 + beta*eta - gamma, branched on the sign of alpha."""
+    if abs(alpha) < DEGENERATE_TOL:
+        return gamma / beta
+    disc = beta * beta + 4.0 * alpha * gamma
+    if alpha > 0:
+        return (-beta + np.sqrt(disc)) / (2.0 * alpha)
+    return (beta - np.sqrt(max(disc, 0.0))) / (2.0 * abs(alpha))
+
+
+_coefficient = st.floats(0.0, 10.0)
+# alpha of either sign, exactly 0 and inside the linear band as well
+_alpha = st.one_of(st.floats(-10.0, 10.0), st.just(0.0),
+                   st.floats(-DEGENERATE_TOL / 2, DEGENERATE_TOL / 2))
+
+
+class TestCutoffRoot:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(alpha=_alpha, beta=_coefficient, gamma=_coefficient)
+    def test_quadratic_is_the_reference_bit_for_bit(self, alpha, beta, gamma):
+        assume(alpha + beta - gamma > VIOLATION_TOL)
+        expected = float(quadratic_root_reference(alpha, beta, gamma))
+        root = cutoff_root(alpha, beta, -gamma)
+        if alpha <= -DEGENERATE_TOL and expected == 0.0:
+            # the one difference: a downward parabola's root that rounds to 0
+            # is -0.0, which `svetlichny_cutoff` reports as 0.0 like every
+            # root below ZERO_ROOT
+            assert root == 0.0
+        else:
+            assert root.hex() == expected.hex()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(triple=st.one_of(st.floats(-10.0, 0.0), st.floats(1e-300, 10.0)), pair=_coefficient)
+    def test_linear_is_q_over_t_bit_for_bit(self, triple, pair):
+        expected = pair / triple if triple > 0.0 else np.inf
+        assert cutoff_root(0.0, triple, -pair).hex() == expected.hex()
+
+    def test_stack_is_the_scalar_root_on_the_default_sweep(self, monkeypatch):
+        sums, real = [], search.t2_triple_and_pair_sums
+
+        def recording(probs):
+            sums.append(real(probs))
+            return sums[-1]
+
+        monkeypatch.setattr(search, "t2_triple_and_pair_sums", recording)
+        # the CLI's default grids
+        search.sweep_t2_noise(np.linspace(0.01, np.pi / 3, 200), np.linspace(0.0, 0.02, 100))
+        assert len(sums) == 100
+        for triple, pair in sums:
+            stacked = cutoff_root(0.0, triple, -pair)
+            scalar = [cutoff_root(0.0, t, -q) for t, q in zip(triple.tolist(), pair.tolist())]
+            assert [r.hex() for r in stacked.tolist()] == [r.hex() for r in scalar]
+
+    def test_stack_without_a_finite_crossing_is_inf_without_warning(self):
+        # a subnormal T, as from a measurement polar angle of 1e-155, makes
+        # Q/T overflow to +inf, as a division of Python floats does
+        triple = np.array([0.0, -0.0, -1.0, 2.0, 0.0, 1e-310])
+        pair = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = cutoff_root(0.0, triple, -pair)
+        assert roots.tolist() == [np.inf, np.inf, np.inf, 0.5, np.inf, np.inf]
+
+
 class TestSvetlichnyCutoff:
     def test_ghz_value(self):
         cutoff = svetlichny_cutoff(svetlichny_coefficients(ghz_tensor()))
@@ -252,6 +326,21 @@ class TestEfficiencyConditions:
                 continue
             assert efficiencies_admit_violation(EfficiencyTriple(ea, eb, min(ec + 1e-9, 1.0)))
             assert not efficiencies_admit_violation(EfficiencyTriple(ea, eb, ec - 1e-9))
+
+    def test_critical_third_against_exact_arithmetic(self):
+        # on a grid of multiples of 1/64 the inputs, the slope and the
+        # constant are exact floats, so only the final division rounds
+        eps = Fraction(np.finfo(float).eps)
+        for i in range(1, 65):
+            for j in range(1, 65):
+                ea, eb = Fraction(i, 64), Fraction(j, 64)
+                ec = critical_third_efficiency(float(ea), float(eb))
+                slope = 4 * ea * eb - ea - eb
+                assert (ec is None) == (slope <= 0 or ea * eb > slope), (i, j)
+                if ec is not None:
+                    ec = Fraction(ec)
+                    residual = 4 * ea * eb * ec - ea * eb - ea * ec - eb * ec
+                    assert abs(residual) <= slope * ec * eps, (i, j)
 
     def test_critical_third_validates_input(self):
         with pytest.raises(ValueError):
