@@ -506,20 +506,20 @@ def cmd_mde(args, inputs: tuple[SearchConfig, str]) -> int:
     atomic_write_text(out_path, json.dumps(dump, indent=2, sort_keys=True) + "\n")
     payload = {"inequality": args.inequality, "restarts": args.restarts, "seed": args.seed}
     values = result.restart_values
-    converged = sum(status != "budget" for status in result.status)
+    counts = {status: result.status.count(status) for status in ("converged", "stalled", "budget")}
     outputs = {
         "best_eta": result.best_eta,
         "violating_restarts": result.violating_restarts,
         "settings_file": out_path,
         "restart_values": {"min": min(values), "median": _median(values), "max": max(values)},
-        "converged_restarts": converged,
-        "status_counts": {status: result.status.count(status)
-                          for status in ("converged", "stalled", "budget")},
+        "converged_restarts": args.restarts - counts["budget"],
+        "status_counts": counts,
         "nfev": sum(result.nfev),
     }
+    statuses = ", ".join(f"{n} {status}" for status, n in counts.items())
     lines = [
         f"best eta = {result.best_eta:.12f} over {args.restarts} restarts "
-        f"({result.violating_restarts} violating, {converged} converged, "
+        f"({result.violating_restarts} violating, {statuses}, "
         f"{sum(result.nfev)} objective calls)",
         f"best settings written to {out_path}",
     ]

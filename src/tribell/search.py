@@ -12,6 +12,7 @@ tables.
 from __future__ import annotations
 
 import operator
+import random
 import time
 from collections.abc import Iterator
 from functools import cache
@@ -193,9 +194,11 @@ def _t2_objective(point, penalty_weight: float) -> float:
     return _fixed_cutoff("t2", _as_pair(point), penalty_weight)
 
 
-def _random_start(rng: np.random.Generator) -> np.ndarray:
-    polars = rng.uniform(0.0, np.pi, size=6)
-    azimuths = rng.uniform(0.0, 2.0 * np.pi, size=6)
+def _random_start(rng: random.Random) -> np.ndarray:
+    # 6 polars, then 6 azimuths, from any rng with a scalar uniform(low, high);
+    # a numpy Generator gives the same bits as its size=6 draws
+    polars = tuple(map(rng.uniform, (0.0,) * 6, (np.pi,) * 6))
+    azimuths = tuple(map(rng.uniform, (0.0,) * 6, (2.0 * np.pi,) * 6))
     return np.column_stack((polars, azimuths)).reshape(-1)
 
 
@@ -427,7 +430,7 @@ def _multistart(kind: str, cfg: SearchConfig,
         if i == 0 and initial is not None:
             x0 = initial.measurement_angles
         else:
-            x0 = _random_start(np.random.default_rng(cfg.seed + i))
+            x0 = _random_start(random.Random(cfg.seed + i))
         pair, res = _angle_search(kind, x0, cfg)
         # the restart's value is the fixed-state cutoff of what it found
         val = float(_fixed_cutoff(kind, pair, 1.0))
@@ -462,8 +465,9 @@ def minimize_svetlichny_cutoff(cfg: SearchConfig,
     """Minimize the correlator-form cutoff over states and measurements.
 
     Runs ``cfg.restarts`` independent local searches from seeded random
-    starts (restart i uses seed ``cfg.seed + i``); deterministic given the
-    seed.  ``initial``, when given, replaces the random start of restart 0.
+    starts (restart i draws its angles from ``random.Random(cfg.seed + i)``);
+    deterministic given the seed.  ``initial``, when given, replaces the
+    random start of restart 0.
     """
     return _multistart("svetlichny", cfg, initial)
 

@@ -171,6 +171,18 @@ class TestMde:
         assert record["input_digest"] == settings_digest(
             {"inequality": "t2", "restarts": 3, "seed": 5})
 
+    def test_human_line_reports_the_status_counts(self, capsys, tmp_path):
+        argv = ["mde", "--inequality", "t2", "--restarts", "3", "--seed", "5",
+                "--out", str(tmp_path / "best.json")]
+        code, out, _ = run(capsys, *argv, "--json")
+        outputs = json.loads(out)["outputs"]
+        code2, human, _ = run(capsys, *argv)
+        assert code == code2 == 0
+        counts = ", ".join(f"{outputs['status_counts'][status]} {status}"
+                           for status in ("converged", "stalled", "budget"))
+        assert (f"({outputs['violating_restarts']} violating, {counts}, "
+                f"{outputs['nfev']} objective calls)") in human.splitlines()[0]
+
     def test_median_matches_numpy_bit_for_bit(self, rng):
         for n in range(1, 60):
             values = tuple((rng.random(n) * rng.choice([1e-3, 1.0, 1e3], n)).tolist())

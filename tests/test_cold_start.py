@@ -1,11 +1,13 @@
 """Cold start and exit: no command imports scipy; importing the CLI does
 not import dataclasses, whose classes generate their methods with exec,
-nor hashlib and datetime; no command but ``mde`` loads OpenSSL's binding
-``_hashlib``, as the record's digest comes from the interpreter's built-in
-SHA-256; the input stage rejects malformed input before numpy is
-imported; ``mde`` leaves numpy.ma out; and the process entry exits with
-`main`'s code and a frozen collector heap, while `main` leaves the
-collector as it found it.
+nor hashlib and datetime; no command loads OpenSSL's binding ``_hashlib``,
+as the record's digest comes from the interpreter's built-in SHA-256 and
+``mde`` seeds its restarts from the standard library's ``random``, not
+numpy.random; the input stage rejects malformed input before numpy is
+imported; ``mde`` leaves numpy.ma out, and its results do not depend on
+the interpreter's hash seed; and the process entry exits with `main`'s
+code and a frozen collector heap, while `main` leaves the collector as it
+found it.
 
 Each check of ``sys.modules`` runs in a fresh interpreter, because this
 test process may already have the module loaded.
@@ -88,11 +90,15 @@ def test_commands_without_an_optimizer_leave_scipy_out(tmp_path):
     assert results == [[0, False]] * 5 + [[2, False]] * 3
 
 
-def test_commands_but_mde_leave_openssl_out(tmp_path):
+MDE_BOTH_FORMS = [["mde", "--inequality", kind, "--restarts", "1", "--out", f"mde-{kind}.json",
+                   "--json"] for kind in ("svetlichny", "t2")]
+
+
+def test_commands_leave_openssl_out(tmp_path, monkeypatch):
     # the record's digest comes from the interpreter's built-in SHA-256, so
-    # OpenSSL's binding _hashlib, which hashlib loads, stays out; mde is
-    # left out, as numpy.random loads it (secrets imports hmac, which
-    # imports hashlib)
+    # OpenSSL's binding _hashlib, which hashlib loads, stays out; the sources
+    # compile in process, as where no bytecode is written
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     results = run_commands(
         tmp_path,
         ["bounds", "verify", "--inequality", "svetlichny", "--json"],
@@ -101,9 +107,29 @@ def test_commands_but_mde_leave_openssl_out(tmp_path):
         ["cde", "--theta", "0.3", "--inequality", "t2"],
         ["sweep", "--theta-grid", "0.1:1:5", "--p-grid", "0:0.02:3", "--out", "sweep.csv",
          "--json"],
+        *MDE_BOTH_FORMS,
         watched="_hashlib",
     )
-    assert results == [[0, False]] * 5
+    assert results == [[0, False]] * 7
+
+
+def test_mde_leaves_numpy_random_out(tmp_path, monkeypatch):
+    # numpy.random imports secrets, which imports hmac and so hashlib
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    results = run_commands(tmp_path, *MDE_BOTH_FORMS, watched="numpy.random")
+    assert results == [[0, False]] * 2
+
+
+def test_mde_results_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    # random.Random(int) seeds from the integer itself, not from its hash
+    outputs = []
+    for hash_seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        record = json.loads(fresh_python(
+            tmp_path, "-m", "tribell.cli", "mde", "--inequality", "t2", "--restarts", "2",
+            "--seed", "3", "--out", "mde.json", "--json"))
+        outputs.append([record["outputs"][key] for key in ("best_eta", "restart_values", "nfev")])
+    assert outputs[0] == outputs[1]
 
 
 def test_mde_leaves_scipy_out(tmp_path):

@@ -1,5 +1,7 @@
 """Optimizers, noise analysis, and the sweep."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,34 @@ class TestOptimizers:
         assert result.best_eta >= 0.75 - 1e-6
         assert result.best_eta <= 0.76
         assert result.violating_restarts >= 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 501, 510, 2**40])
+    def test_random_start_keeps_the_generator_draws(self, seed):
+        # drawn one scalar at a time, a numpy Generator gives the bits of its
+        # size=6 draws, so the starts the tests take from it stay fixed
+        rng = np.random.default_rng(seed)
+        polars = rng.uniform(0.0, np.pi, size=6)
+        azimuths = rng.uniform(0.0, 2.0 * np.pi, size=6)
+        expected = np.column_stack((polars, azimuths)).reshape(-1)
+        start = search._random_start(np.random.default_rng(seed))
+        assert start.dtype == expected.dtype and start.shape == (12,)
+        assert start.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["svetlichny", "t2"])
+    def test_restart_i_starts_from_seed_plus_i(self, kind):
+        # restart i of a run at seed s is the single restart of a run at
+        # seed s + i, started from random.Random(s + i)
+        search_fn = minimize_svetlichny_cutoff if kind == "svetlichny" else minimize_t2_cutoff
+        seed, cfg = 5, SearchConfig(restarts=3, seed=5)
+        result = search_fn(cfg)
+        for i in range(cfg.restarts):
+            single = search_fn(SearchConfig(restarts=1, seed=seed + i))
+            assert (single.restart_values[0], single.nfev[0]) == (
+                result.restart_values[i], result.nfev[i]), i
+            pair, res = search._angle_search(
+                kind, search._random_start(random.Random(seed + i)), cfg)
+            assert (float(search._fixed_cutoff(kind, pair, 1.0)), res.nfev) == (
+                result.restart_values[i], result.nfev[i]), i
 
     def test_search_failure_when_budget_exhausted(self):
         cfg = SearchConfig(restarts=1, seed=1, max_iterations=2)
