@@ -512,7 +512,6 @@ def cmd_mde(args, inputs: tuple[SearchConfig, str]) -> int:
         "violating_restarts": result.violating_restarts,
         "settings_file": out_path,
         "restart_values": {"min": min(values), "median": _median(values), "max": max(values)},
-        "converged_restarts": args.restarts - counts["budget"],
         "status_counts": counts,
         "nfev": sum(result.nfev),
     }

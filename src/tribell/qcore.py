@@ -276,6 +276,21 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(amp, amp.conj()))
 
 
+def born_amplitudes(amplitudes, rows) -> np.ndarray:
+    """Born amplitudes (..., 64), in (x, a, y, b, z, c) order, of states
+    (..., 8) at the parties' conjugated `measurement_basis` rows (..., 3,
+    2, 2, 2); leading axes broadcast, and the map is linear in each
+    party's rows."""
+    amp = np.asarray(amplitudes, dtype=complex)
+    # party C, then B, then A contracts its component index with the last
+    # qubit index left: [zc, ij], then [yb, zci], then [xa, ybzc]
+    amp = amp.reshape(amp.shape[:-1] + (4, 2))
+    for party in (2, 1, 0):
+        u = rows[..., party, :, :, :].reshape(rows.shape[:-4] + (4, 2))
+        amp = u @ amp.reshape(amp.shape[:-2] + (-1, 2)).swapaxes(-1, -2)
+    return amp.reshape(amp.shape[:-2] + (64,))
+
+
 def pure_behavior_probabilities(amplitudes: np.ndarray, bases) -> np.ndarray:
     """Born probabilities of a pure state, without object construction.
 
@@ -287,17 +302,9 @@ def pure_behavior_probabilities(amplitudes: np.ndarray, bases) -> np.ndarray:
     restart's certificate and, in one call, the sweep's ideal tensors;
     `behavior_from_settings` is the validated public route.
     """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    lead = amplitudes.shape[:-1]
-    conj = np.conj(bases)
-    # party C, then B, then A contracts its component index with the last
-    # qubit index left: [zc, ij], then [yb, zci], then [xa, ybzc]
-    amp = amplitudes.reshape(lead + (4, 2))
-    for party in (2, 1, 0):
-        u = conj[..., party, :, :, :].reshape(lead + (4, 2))
-        amp = u @ amp.reshape(lead + (-1, 2)).swapaxes(-1, -2)
+    amp = born_amplitudes(amplitudes, np.conj(bases))
     # [x,a,y,b,z,c] -> [a,b,c,x,y,z]
-    amp = np.moveaxis(amp.reshape(lead + (2,) * 6), (-5, -3, -1), (-6, -5, -4))
+    amp = np.moveaxis(amp.reshape(amp.shape[:-1] + (2,) * 6), (-5, -3, -1), (-6, -5, -4))
     probs = np.empty(amp.shape)
     np.add(amp.real**2, amp.imag**2, out=probs)
     return probs

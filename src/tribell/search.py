@@ -43,6 +43,7 @@ from .qcore import (
     SettingsTriple,
     _frozen,
     behavior_from_settings,
+    born_amplitudes,
     density_from_pure,
     measurement_basis,
     pure_behavior_probabilities,
@@ -207,9 +208,9 @@ def _random_start(rng: random.Random) -> np.ndarray:
 #
 # Each party's two measurements give a 4x2 matrix U: the conjugated rows of
 # its `measurement_basis`, indexed (setting, outcome) by component.  Then
-# V = U_A (x) U_B (x) U_C maps a state to its 64 Born amplitudes, and entry
-# (x a, y b, z c) of V psi is the amplitude whose square
-# `pure_behavior_probabilities` reads as P(abc|xyz).  The k-party rows of a
+# V = U_A (x) U_B (x) U_C, the linear map `qcore.born_amplitudes`, takes a
+# state to its 64 Born amplitudes, and entry (x a, y b, z c) of V psi is the
+# amplitude whose square is P(abc|xyz).  The k-party rows of a
 # form, summed and put in that order as w_k, read <psi|A_k|psi> for the
 # Hermitian 8x8 operator A_k = V^H diag(w_k) V.  At symmetric efficiency
 # eta the observed form violates iff eta^3 <A_3> + eta^2 <A_2> + eta <A_1>
@@ -256,11 +257,9 @@ def _local_paulis(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_operators(coefficients: np.ndarray, local: np.ndarray) -> np.ndarray:
     """A_3, A_2, A_1 as 8x8 matrices, shape (3, 8, 8): V^H diag(w_k) V for
-    the rows w_k of `_operator_coefficients` and V = U_A (x) U_B (x) U_C
-    from the parties' U of `_local_paulis`."""
-    a, b, c = np.reshape(local, (3, 4, 2))
-    v = (a[:, None, None, :, None, None] * b[None, :, None, None, :, None]
-         * c[None, None, :, None, None, :]).reshape(64, 8)
+    the rows w_k of `_operator_coefficients` and V, the `born_amplitudes`
+    of the 8 basis states at the parties' U of `_local_paulis`."""
+    v = born_amplitudes(np.eye(8), local).T
     return v.conj().T @ (coefficients[:, :, None] * v)
 
 
@@ -308,20 +307,15 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
 
     # lambda = sum_e w_e |phi_e|^2, with phi = V state and
     # w = eta w_3 + w_2 + w_1 / eta, so d lambda = 2 Re sum_e w_e conj(phi_e)
-    # d phi_e, and phi is linear in each party's U.  phi is built party C,
-    # then B, then A, as in `pure_behavior_probabilities`, and w conj(phi)
-    # goes back through the same steps: each party's d lambda / d U
-    # contracts it with the other two parties' U and the state
-    u_a, u_b, u_c = local.reshape(3, 4, 2)
-    via_c = state.reshape(2, 2, 2) @ u_c.T             # [i, j, zc]
-    via_bc = (u_b @ via_c).reshape(2, 16)              # [i, yb zc]
-    weights = ((eta, 1.0, 1.0 / eta) @ coefficients).reshape(4, 16)
-    back = weights * (u_a @ via_bc).conj()             # [xa, yb zc]
-    back_a = (u_a.T @ back).reshape(2, 4, 4)           # [i, yb, zc]
-    d_local = np.stack([back @ via_bc.T,
-                        (back_a @ via_c.transpose(0, 2, 1)).sum(axis=0),
-                        (u_b.T @ back_a).reshape(4, 4).T @ state.reshape(4, 2)])
-    d_lambda = 2.0 * (derivatives.reshape(3, 2, 2, 4) @ d_local.reshape(3, 2, 4, 1)).real.ravel()
+    # d phi_e.  phi is linear in each party's U, so d phi by angle k of
+    # setting s of party p is the same map with that party's rows replaced
+    # by their derivative on setting s and by 0 on the other setting
+    # row set (p, s, k) on axes [p, s, k, party, setting, outcome, component]
+    own = np.eye(3, dtype=bool)[:, None, None, :, None, None, None]  # party == p
+    same = np.eye(2)[:, None, None, :, None, None]                     # setting == s
+    rows = np.where(own, same * derivatives[:, :, :, None, None], local)
+    w_phi = ((eta, 1.0, 1.0 / eta) @ coefficients) * born_amplitudes(state, local).conj()
+    d_lambda = 2.0 * (born_amplitudes(state, rows) @ w_phi).real.ravel()
     if not violated:
         return 1.0 + penalty_weight * (VIOLATION_TOL - lam), -penalty_weight * d_lambda, state
     # lambda rises through the floor at the cutoff; a flat crossing has no

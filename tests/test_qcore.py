@@ -16,6 +16,7 @@ from tribell.qcore import (
     QubitMeasurement,
     SettingsTriple,
     behavior_from_settings,
+    born_amplitudes,
     density_from_pure,
     measurement_basis,
     no_signaling_deviation,
@@ -324,3 +325,48 @@ class TestStackedPureBorn:
                                            bases.reshape(2, 3, 3, 2, 2, 2))
         flat = pure_behavior_probabilities(amplitudes, bases)
         assert grid.tobytes() == flat.tobytes()
+
+
+def _squares(amplitudes):
+    """Squares of `born_amplitudes`, [x,a,y,b,z,c] reordered to [a,b,c,x,y,z]."""
+    amp = np.moveaxis(amplitudes.reshape(amplitudes.shape[:-1] + (2,) * 6),
+                      (-5, -3, -1), (-6, -5, -4))
+    return amp.real**2 + amp.imag**2
+
+
+class TestBornAmplitudes:
+    """The leading axes of states and rows broadcast, and each state at
+    each row set gets the bits of a call on that pair alone; the MDE search
+    reads one state against a stack of 12 row sets (its gradient) and the
+    8 basis states against one row set (its operators)."""
+
+    def test_one_state_against_a_stack_of_row_sets(self, rng):
+        for _ in range(200):
+            amp = random_state(rng).amplitudes
+            rows = np.conj([random_settings(rng).bases() for _ in range(12)])
+            stacked = born_amplitudes(amp, rows)
+            assert stacked.shape == (12, 64)
+            for row_set, got in zip(rows, stacked):
+                assert got.tobytes() == born_amplitudes(amp, row_set).tobytes()
+
+    def test_a_stack_of_states_against_one_row_set(self, rng):
+        for _ in range(200):
+            amplitudes = np.array([random_state(rng).amplitudes for _ in range(8)])
+            rows = np.conj(random_settings(rng).bases())
+            stacked = born_amplitudes(amplitudes, rows)
+            assert stacked.shape == (8, 64)
+            for amp, got in zip(amplitudes, stacked):
+                assert got.tobytes() == born_amplitudes(amp, rows).tobytes()
+
+    def test_squares_are_the_pure_born_probabilities(self, rng):
+        for _ in range(200):
+            amp = random_state(rng).amplitudes
+            bases = random_settings(rng).bases()
+            assert (_squares(born_amplitudes(amp, np.conj(bases))).tobytes()
+                    == pure_behavior_probabilities(amp, bases).tobytes())
+        # the sweep's one stacked call over the default theta grid
+        settings = [ThetaSetting(t) for t in np.linspace(0.01, np.pi / 3, 200)]
+        amplitudes = np.array([theta_state(s).amplitudes for s in settings])
+        bases = np.array([theta_measurements(s).bases() for s in settings])
+        assert (_squares(born_amplitudes(amplitudes, np.conj(bases))).tobytes()
+                == pure_behavior_probabilities(amplitudes, bases).tobytes())
