@@ -54,6 +54,7 @@ DEGENERATE_TOL = 1e-12      # |c2| below it: `cutoff_root` is linear; alpha and 
 ZERO_ROOT = 1e-15           # `cutoff_root` of the correlator below it: reported as 0, warned
 CUTOFF_ROUNDING = 1e-12     # distance of Q/T from 1 that is rounding; the rules above
 CONVERGENCE_TOL = 1e-12     # both stopping tests of each MDE restart, as in L-BFGS-B
+VALUE_ROUNDING = np.finfo(float).eps  # relative rounding of an MDE objective value
 REVERIFY_TOL = 1e-9         # certificate vs public path; they agree to about 1e-10
 CROSSING_BRACKET = 1e-7     # half-width of the sign bracket pinning each noise crossing
 SIN_FLOOR = 1e-9            # sin(theta) of the theta family, whose amplitudes divide by it

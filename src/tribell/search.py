@@ -38,7 +38,8 @@ from .inequality import (
 )
 from .inputs import NoiseLevel, SearchConfig
 from .qcore import (
-    CONVERGENCE_TOL, CROSSING_BRACKET, CUTOFF_ROUNDING, NORM_TOL, REVERIFY_TOL, VIOLATION_TOL,
+    CONVERGENCE_TOL, CROSSING_BRACKET, CUTOFF_ROUNDING, NORM_TOL, REVERIFY_TOL, VALUE_ROUNDING,
+    VIOLATION_TOL,
     PureState,
     SettingsTriple,
     _frozen,
@@ -278,8 +279,7 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
     1 + penalty_weight * (VIOLATION_TOL - lambda(1)), with its gradient.
     """
     local, derivatives = _local_paulis(np.reshape(angles, (3, 2, 2)))
-    operators = _row_operators(coefficients, local)
-    a3, a2, a1 = operators
+    a3, a2, a1 = operators = _row_operators(coefficients, local)
 
     def top(eta):
         values, vectors = np.linalg.eigh(eta * a3 + a2 + a1 / eta)
@@ -296,10 +296,7 @@ def _eigen_cutoff(coefficients: np.ndarray, angles: np.ndarray,
     for _ in range(_NEWTON_STEPS if violated else 0):
         if abs(lam - VIOLATION_TOL) <= resolution @ (eta, 1.0, 1.0 / eta):
             break
-        if lam > VIOLATION_TOL:
-            hi = eta
-        else:
-            lo = eta
+        lo, hi = (lo, eta) if lam > VIOLATION_TOL else (eta, hi)
         d_eta = slope(eta, state)
         step = eta - (lam - VIOLATION_TOL) / d_eta if d_eta > 0.0 else np.nan
         eta = step if lo < step < hi else 0.5 * (lo + hi)
@@ -335,24 +332,25 @@ class LocalMinimum(NamedTuple):
     status: str
 
 
-# Armijo's sufficient-decrease fraction, and the objective calls after which
-# a line search counts as finding no decrease (L-BFGS-B's default maxls):
-# the unit step and 19 halvings
+# Armijo's sufficient-decrease fraction; a line search that fails the unit
+# step and 19 shorter trials finds no decrease (L-BFGS-B's default maxls)
 _ARMIJO = 1e-4
 _LINE_SEARCH_CALLS = 20
 
 
 def minimize(fun, x0, *, max_iterations: int, tol: float) -> LocalMinimum:
-    """BFGS with a dense inverse Hessian and Armijo backtracking from the
-    unit step, for ``fun(x) -> (value, gradient)``.
+    """BFGS for ``fun(x) -> (value, gradient)``, with an Armijo line search.
 
-    The inverse Hessian starts as the identity, is scaled by s.y / y.y
+    The dense inverse Hessian starts as the identity, is scaled by s.y / y.y
     before its first update, and skips every update whose s.y is not
-    positive.  The stopping tests are L-BFGS-B's: ``converged`` when max|g|
-    <= tol, or when an iteration lowers the value by at most tol times
-    max(|f_old|, |f_new|, 1); ``stalled`` when backtracking finds no
-    decrease (at the optimum of the probability form, the rounding of the
-    cutoff); ``budget`` after ``max_iterations`` iterations.
+    positive.  A line search tries the unit step, then after a failed trial
+    t the minimizer of the quadratic through f, g.step and its value, in
+    [t/10, t/2] (t/2 if that value is not finite).  The stopping tests are
+    L-BFGS-B's: ``converged`` when max|g| <= tol, or when an iteration
+    lowers the value by at most tol times max(|f_old|, |f_new|, 1);
+    ``stalled``, at the point reached, after 20 failed trials or once a
+    trial's predicted decrease t |g.step| is within the rounding of f,
+    ``VALUE_ROUNDING`` max(|f|, 1); ``budget`` after ``max_iterations``.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -361,23 +359,23 @@ def minimize(fun, x0, *, max_iterations: int, tol: float) -> LocalMinimum:
         return LocalMinimum(x, f, nfev, 0, "converged")
     for nit in range(1, max_iterations + 1):
         step = -g if inverse is None else -(inverse @ g)
-        slope = g @ step
-        for halving in range(_LINE_SEARCH_CALLS):
-            t = 0.5**halving
+        slope, t = g @ step, 1.0
+        for trial in range(1, _LINE_SEARCH_CALLS + 1):
             x_new = x + t * step
             f_new, g_new = fun(x_new)
             nfev += 1
             if f_new <= f + _ARMIJO * t * slope:
                 break
-        else:
-            return LocalMinimum(x, f, nfev, nit - 1, "stalled")
+            t = (max(t / 10, min(0.5 * slope * t * t / (f - f_new + slope * t), t / 2))
+                 if np.isfinite(f_new) else t / 2)
+            if trial == _LINE_SEARCH_CALLS or t * abs(slope) <= VALUE_ROUNDING * max(abs(f), 1.0):
+                return LocalMinimum(x, f, nfev, nit - 1, "stalled")
         if (np.max(np.abs(g_new)) <= tol
                 or f - f_new <= tol * max(abs(f), abs(f_new), 1.0)):
             return LocalMinimum(x_new, f_new, nfev, nit, "converged")
         s, y = x_new - x, g_new - g
         x, f, g = x_new, f_new, g_new
-        sy = s @ y
-        if sy > 0.0:
+        if (sy := s @ y) > 0.0:
             if inverse is None:
                 inverse = (sy / (y @ y)) * np.eye(len(x))
             hy = inverse @ y
@@ -404,10 +402,15 @@ def _angle_search(kind: str, x0: np.ndarray,
     """One restart: `minimize` over the 12 angles of the eigenvalue-reduced
     cutoff.  Returns the pair of the top eigenvector, normalized, and the
     found angles, and where `minimize` stopped."""
-    coefficients = _operator_coefficients(kind)
-    res = minimize(lambda x: _eigen_cutoff(coefficients, x, 1.0)[:2], x0,
-                   max_iterations=cfg.max_iterations, tol=CONVERGENCE_TOL)
-    state = _eigen_cutoff(coefficients, res.x, 1.0)[2]
+    # the objective is pure, so the state of its call at res.x is kept, not recomputed
+    coefficients, states = _operator_coefficients(kind), {}
+
+    def objective(x):
+        value, gradient, states[x.tobytes()] = _eigen_cutoff(coefficients, x, 1.0)
+        return value, gradient
+
+    res = minimize(objective, x0, max_iterations=cfg.max_iterations, tol=CONVERGENCE_TOL)
+    state = states[res.x.tobytes()]
     # the one normalization of the state the certificate, the re-verification
     # and the settings read; eigh leaves one zero as 0.0 or -0.0, and adding
     # 0.0 makes it +0.0, so the settings file prints no sign of a zero
@@ -417,14 +420,11 @@ def _angle_search(kind: str, x0: np.ndarray,
 def _multistart(kind: str, cfg: SearchConfig,
                 initial: SettingsParameterization | None) -> SearchResult:
     restarts = []  # (value, nfev, nit, status, seconds) per restart
-    best_val, best_pair = np.inf, None
-    violating = 0
+    best_val, best_pair, violating = np.inf, None, 0
     for i in range(cfg.restarts):
         start = time.perf_counter()
-        if i == 0 and initial is not None:
-            x0 = initial.measurement_angles
-        else:
-            x0 = _random_start(random.Random(cfg.seed + i))
+        x0 = (initial.measurement_angles if i == 0 and initial is not None
+              else _random_start(random.Random(cfg.seed + i)))
         pair, res = _angle_search(kind, x0, cfg)
         # the restart's value is the fixed-state cutoff of what it found
         val = float(_fixed_cutoff(kind, pair, 1.0))

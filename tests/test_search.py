@@ -181,6 +181,44 @@ class TestMinimize:
         np.testing.assert_array_equal(res.x, np.ones(12))
         assert res.fun == 12.0
 
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_one_interpolated_trial_lands_on_the_minimum(self, scale):
+        # the unit step overshoots to 6 (scale 1) or 24 (scale 4), and the
+        # quadratic through f, the slope and that value has its minimum at 3;
+        # at scale 4, halving would take three trials to get there, not one
+        def parabola(x):
+            return scale * float((x[0] - 3.0) ** 2), scale * 2.0 * (x - 3.0)
+
+        res = search.minimize(parabola, np.zeros(1), max_iterations=100, tol=1e-12)
+        assert (res.status, res.nfev, res.x[0], res.fun) == ("converged", 3, 3.0, 0.0)
+
+    def test_stalled_when_the_predicted_decrease_is_rounding(self):
+        # the gradient promises a decrease of 1.2e-19 per unit step, far
+        # below the rounding of f = 1, and every trial point is higher
+        def flat(x):
+            return 1.0 + float(np.sum(np.abs(x))), np.full(12, 1e-10)
+
+        res = search.minimize(flat, np.zeros(12), max_iterations=100, tol=1e-12)
+        assert res.status == "stalled"
+        assert res.nfev < 20
+        np.testing.assert_array_equal(res.x, np.zeros(12))
+        assert res.fun == 1.0
+
+    @pytest.mark.parametrize("beyond", [np.nan, np.inf])
+    def test_a_trial_that_is_not_finite_halves_the_step(self, beyond):
+        points = []
+
+        def walled(x):
+            points.append(x.copy())
+            value = float((x[0] - 1.0) ** 2) if x[0] < 1.5 else beyond
+            return value, 2.0 * (x - 1.0)
+
+        res = search.minimize(walled, np.zeros(1), max_iterations=100, tol=1e-12)
+        # the unit step reaches 2, past the wall; half of it lands on 1
+        assert [p[0] for p in points] == [0.0, 2.0, 1.0]
+        assert np.isfinite(points).all()
+        assert (res.status, res.x[0], res.fun) == ("converged", 1.0, 0.0)
+
     def test_nfev_counts_every_objective_call(self):
         calls = []
 
