@@ -292,7 +292,8 @@ def svetlichny_cutoff(c: SvetlichnyCoefficients) -> float:
         raise DegenerateCoefficientsError("alpha and beta both vanish")
     margin = c.violation_margin
     if margin <= VIOLATION_TOL:
-        raise NoViolationError("settings do not violate at unit efficiency", deficit=-margin)
+        raise NoViolationError("settings do not violate at unit efficiency",
+                                deficit=VIOLATION_TOL - margin)
     root = cutoff_root(alpha, beta, -gamma)
     if root < ZERO_ROOT:
         warnings.warn("cutoff is 0: violation persists at every positive efficiency")

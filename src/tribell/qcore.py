@@ -31,9 +31,12 @@ DIM = 8
 # signed sum of them, an efficiency or the ratio Q/T.  Minimum efficiencies are
 # infima, approached with a margin that goes to 0, so near them each public
 # function's rule decides.  Verdicts (`t2_value`, `svetlichny_corr_value`)
-# and `svetlichny_cutoff` need a margin above VIOLATION_TOL, so none rests on
-# rounding; an MDE restart's certificate applies the same rule to the margin
-# at eta = 1 of either form (alpha + beta - gamma, or T - Q).  Q/T alone
+# need the statistic above its bound by more than VIOLATION_TOL, and
+# `svetlichny_cutoff` and an MDE restart's certificate need the margin at
+# eta = 1 (alpha + beta - gamma, or T - Q) above it, so none rests on
+# rounding.  The two rules differ by the factor 4 of S - 4 =
+# 4 (alpha + beta - gamma): the correlator's verdict holds from a margin of
+# VIOLATION_TOL / 4, its cutoff and certificate from VIOLATION_TOL.  Q/T alone
 # needs none, as a ratio of two small sums is still well determined
 # (theta = 0.02: T - Q = 3.2e-11, Q/T = 0.750075).  Within
 # CUTOFF_ROUNDING of 1, `t2_cutoff_symmetric` is closed, giving 1.0 where
@@ -311,30 +314,14 @@ def pure_behavior_probabilities(amplitudes: np.ndarray, bases) -> np.ndarray:
     return probs
 
 
-_BORN_SUBSCRIPTS = "xai,ybj,zck,ijkIJK,xaI,ybJ,zcK->abcxyz"
-
-
-@cache
-def _born_contraction_path() -> tuple:
-    """The contraction order ``optimize=True`` picks for the Born rule's
-    einsum.  It depends only on the operand shapes, which are fixed, so it
-    is searched once instead of on every call."""
-    basis, rho6 = np.empty((2, 2, 2), dtype=complex), np.empty((2,) * 6, dtype=complex)
-    path, _ = np.einsum_path(_BORN_SUBSCRIPTS, basis, basis, basis, rho6, basis, basis, basis,
-                             optimize=True)
-    return tuple(path)
-
-
 def behavior_from_settings(rho: DensityMatrix, settings: SettingsTriple) -> BehaviorTensor:
-    """Born-rule behavior P(abc|xyz) = Tr[rho (Pi_a^x ⊗ Pi_b^y ⊗ Pi_c^z)]."""
-    ua, ub, uc = settings.bases()
-    rho6 = rho.matrix.reshape((2,) * 6)
-    probs = np.einsum(
-        _BORN_SUBSCRIPTS,
-        ua.conj(), ub.conj(), uc.conj(), rho6, ua, ub, uc,
-        optimize=_born_contraction_path(),
-    ).real
-    return BehaviorTensor(probs)
+    """Born-rule behavior P(abc|xyz) = Tr[rho (Pi_a^x ⊗ Pi_b^y ⊗ Pi_c^z)],
+    the real diagonal of V rho V^H for V, the `born_amplitudes` of the 8
+    basis states; `pure_behavior_probabilities` squares V psi instead."""
+    v = born_amplitudes(np.eye(DIM), np.conj(settings.bases())).T
+    diag = ((v @ rho.matrix) * v.conj()).sum(axis=1).real
+    # [x,a,y,b,z,c] -> [a,b,c,x,y,z]
+    return BehaviorTensor(diag.reshape((2,) * 6).transpose(1, 3, 5, 0, 2, 4))
 
 
 def uniform_behavior() -> BehaviorTensor:

@@ -163,9 +163,10 @@ class NoiseSweep:
 def _fixed_cutoff(kind: str, pair, penalty_weight: float) -> float:
     """Cutoff of unit-norm amplitudes and 12 measurement angles, or 1 plus
     ``penalty_weight`` times the shortfall when they do not violate at unit
-    efficiency.  Violation is the verdicts' rule: a margin at eta = 1, the
-    sum of the coefficients (alpha, beta, -gamma) or (0, T, -Q), above
-    ``VIOLATION_TOL``; the cutoff is their `cutoff_root`."""
+    efficiency.  Violation is a margin at eta = 1, the sum of the
+    coefficients (alpha, beta, -gamma) or (0, T, -Q), above
+    ``VIOLATION_TOL``, the rule of `svetlichny_cutoff` and `t2_value`; the
+    cutoff is their `cutoff_root`."""
     amplitudes, angles = pair
     probs = pure_behavior_probabilities(amplitudes, SettingsTriple.from_angles(angles).bases())
     if kind == "svetlichny":

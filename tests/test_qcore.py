@@ -1,17 +1,18 @@
 """States, measurements, and Born-rule behavior tensors."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_behavior, random_settings, random_state
+from conftest import random_behavior, random_density, random_settings, random_state
 from tribell.errors import NormalizationError
 from tribell.families import ThetaSetting, theta_measurements, theta_state
 from tribell.polytope import BilocalVertex, T2Vertex, vertex_to_behavior
 from tribell.qcore import (
-    _BORN_SUBSCRIPTS,
     BehaviorTensor,
+    DensityMatrix,
     PureState,
     QubitMeasurement,
     SettingsTriple,
@@ -42,8 +43,6 @@ class TestPureState:
         amp[0], amp[7] = np.nan, 1.0
         with pytest.raises(NormalizationError):
             PureState(amp)
-        from tribell.qcore import DensityMatrix
-
         with pytest.raises(NormalizationError):
             DensityMatrix(np.outer(amp, amp.conj()))
 
@@ -201,7 +200,6 @@ class TestBehaviorFromSettings:
         rho1 = density_from_pure(random_state(rng)).matrix
         rho2 = density_from_pure(random_state(rng)).matrix
         lam = 0.3
-        from tribell.qcore import DensityMatrix
 
         mixed = behavior_from_settings(DensityMatrix(lam * rho1 + (1 - lam) * rho2), settings)
         t1 = behavior_from_settings(DensityMatrix(rho1), settings)
@@ -269,16 +267,18 @@ class TestBehaviorTensor:
         assert no_signaling_deviation(vertex_to_behavior(vertex).probs) == deviation
 
 
-def test_born_rule_uses_the_searched_contraction_path(rng):
-    # the cached path must give the bits a fresh optimize=True search gives
+def test_density_route_matches_the_textbook_trace(rng):
+    # Tr[rho (Pi_a^x ⊗ Pi_b^y ⊗ Pi_c^z)] with the projectors built by
+    # `projector` and np.kron, on mixtures of pure states plus white noise
     for _ in range(50):
-        rho = density_from_pure(random_state(rng))
+        noise = rng.uniform(0.0, 1.0)
+        rho = (1.0 - noise) * random_density(rng).matrix + noise * np.eye(8) / 8
         settings = random_settings(rng)
-        ua, ub, uc = settings.bases()
-        searched = np.einsum(_BORN_SUBSCRIPTS, ua.conj(), ub.conj(), uc.conj(),
-                             rho.matrix.reshape((2,) * 6), ua, ub, uc, optimize=True).real
-        cached = behavior_from_settings(rho, settings).probs
-        assert cached.tobytes() == validated_probabilities(searched).tobytes()
+        probs = behavior_from_settings(DensityMatrix(rho), settings).probs
+        for a, b, c, x, y, z in itertools.product(range(2), repeat=6):
+            op = np.kron(np.kron(projector(settings.a[x], a), projector(settings.b[y], b)),
+                         projector(settings.c[z], c))
+            assert abs(probs[a, b, c, x, y, z] - np.trace(rho @ op).real) <= 1e-14
 
 
 def _tensordot_born(amplitudes, bases):

@@ -105,7 +105,7 @@ class TestObjectives:
     def test_svetlichny_margin_at_the_floor_is_no_violation(self):
         # on the line from z-only measurements to the GHZ angles, t is where
         # the margin alpha + beta - gamma is 3.8e-10: above 1e-10, below the
-        # verdicts' VIOLATION_TOL, so the public cutoff refuses it
+        # cutoff's floor VIOLATION_TOL, so the public cutoff refuses it
         ghz = SettingsParameterization.from_quantum(*ghz_setting())
         vec = np.concatenate([ghz.state_coords, 0.8903763805050405 * ghz.measurement_angles])
         coefficients = svetlichny_coefficients(tensor_of(vec))
@@ -113,6 +113,15 @@ class TestObjectives:
         assert search._svetlichny_objective(vec, 1.0) >= 1.0
         with pytest.raises(NoViolationError):
             svetlichny_cutoff(coefficients)
+
+    def test_svetlichny_deficit_at_the_floor_is_the_shortfall(self):
+        # the margin is positive but below the floor, so the deficit the
+        # refusal reports is VIOLATION_TOL - margin, not -margin
+        ghz = SettingsParameterization.from_quantum(*ghz_setting())
+        vec = np.concatenate([ghz.state_coords, 0.8903763805050405 * ghz.measurement_angles])
+        with pytest.raises(NoViolationError) as refused:
+            svetlichny_cutoff(svetlichny_coefficients(tensor_of(vec)))
+        assert refused.value.deficit > 0.0
 
     def test_t2_margin_at_the_floor_is_no_violation(self):
         # just below theta = pi/3, T - Q = 3.9e-10 with T = 1.35
