@@ -372,30 +372,27 @@ def ideal_tensor(spec: SettingsSpec) -> BehaviorTensor:
 # ---------------------------------------------------------------------------
 # result records and output
 
-def result_record(args, payload: dict, outputs: dict, violated: dict) -> dict:
-    """The ``--json`` record.  Only ``payload`` enters ``input_digest``;
-    ``version``, ``elapsed_s`` (seconds since `main` was entered) and
-    ``timestamp`` describe the run, not its inputs."""
+def emit(args, payload: dict, outputs: dict, human_lines, violated: dict | None = None) -> None:
+    """Print the human lines and the input digest, or the ``--json`` record,
+    whose ``input_digest`` covers ``payload`` only; ``version``, ``elapsed_s``
+    (seconds since `main` was entered) and ``timestamp`` describe the run."""
+    digest = settings_digest(payload)
+    if not args.json:
+        for line in human_lines:
+            print(line)
+        print(f"input digest: {digest}")
+        return
     from datetime import datetime, timezone  # here, not at module import
 
-    return {
+    print(json.dumps({
         "command": " ".join(args._argv),
-        "input_digest": settings_digest(payload),
+        "input_digest": digest,
         "outputs": outputs,
-        "violated": violated,
+        "violated": {} if violated is None else violated,
         "version": __version__,
         "elapsed_s": time.perf_counter() - args._started,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-
-
-def emit(args, record: dict, human_lines) -> None:
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-        print(f"input digest: {record['input_digest']}")
+    }, sort_keys=True))
 
 
 def atomic_write_text(path: str, text) -> None:
@@ -431,13 +428,9 @@ def cmd_bounds_verify(args, inputs: None) -> int:
         vertices = enumerate_t2_vertices()
         maximum = classical_max("t2", vertices)
         expected = 0
-    record = result_record(
-        args,
-        {"inequality": args.inequality},
-        {"vertex_count": len(vertices), "maximum": maximum, "expected_bound": expected},
-        {},
-    )
-    emit(args, record, [f"max = {maximum} over {len(vertices)} vertices"])
+    emit(args, {"inequality": args.inequality},
+         {"vertex_count": len(vertices), "maximum": maximum, "expected_bound": expected},
+         [f"max = {maximum} over {len(vertices)} vertices"])
     if maximum != expected:
         print(f"bound mismatch: expected {expected}", file=sys.stderr)
         return CHECK_FAILED
@@ -455,7 +448,7 @@ def cmd_evaluate(args, checked: SettingsInput) -> int:
             value, flag = evaluate(tensor)
             outputs[f"{stage}_{name}"], violated[f"{stage}_{name}"] = value, flag
             lines.append(f"{stage:<7} {name} = {value:+.12e}  violated: {flag}")
-    emit(args, result_record(args, spec.payload, outputs, violated), lines)
+    emit(args, spec.payload, outputs, lines, violated)
     return 0
 
 
@@ -486,7 +479,7 @@ def cmd_cde(args, checked: SettingsInput) -> int:
             f"triple sum = {triple:.12g}  pair sum = {pair:.12g}",
             f"cde (symmetric) = {cutoff:.12f}",
         ]
-    emit(args, result_record(args, spec.payload, outputs, violated={}), lines)
+    emit(args, spec.payload, outputs, lines)
     return 0
 
 
@@ -522,7 +515,7 @@ def cmd_mde(args, inputs: tuple[SearchConfig, str]) -> int:
         f"{sum(result.nfev)} objective calls)",
         f"best settings written to {out_path}",
     ]
-    emit(args, result_record(args, payload, outputs, violated={}), lines)
+    emit(args, payload, outputs, lines)
     return 0
 
 
@@ -556,7 +549,7 @@ def cmd_sweep(args, grids: tuple[tuple, tuple]) -> int:
         "out": args.out,
     }
     payload = {"theta_grid": args.theta_grid, "p_grid": args.p_grid}
-    emit(args, result_record(args, payload, outputs, violated={}), [
+    emit(args, payload, outputs, [
         f"wrote {outputs['rows']} rows to {args.out}",
         f"feasible rows: {outputs['feasible_rows']}; "
         f"max feasible p: {outputs['max_feasible_p']}",

@@ -105,18 +105,17 @@ def _rows_by_size(form: np.ndarray) -> np.ndarray:
 
 
 _correlator = _product(SVETLICHNY_FORM.sum(axis=0))
-# 4 alpha, 4 beta and -4 gamma: the 3-, 2- and 1-party rows
-_cutoff_coefficients = _product(
-    _rows_by_size(SVETLICHNY_FORM) * np.array([[0.25], [0.25], [-0.25]]))
-# every one- and two-party marginal the correlator form weights must be
-# setting-free: those whose signs do not cancel over the outside settings
+# the correlator form: alpha, beta and gamma (a quarter of the 3- and 2-party
+# rows, minus a quarter of the 1-party row), then every marginal it weights,
+# whose signs do not cancel over the outside settings, read at two of them
 _SVETLICHNY_CHECKS, _SVETLICHNY_LABELS = _marginal_checks(
     (subset, 0, settings)
     for subset in range(1, 7)
     for settings in range(8)
     if settings & ~subset == 0
     and CORRELATOR_SIGNS.reshape(8)[[t for t in range(8) if t & subset == settings]].sum() != 0)
-_svetlichny_marginals = _product(_SVETLICHNY_CHECKS)
+_svetlichny = _product(np.concatenate(
+    [_rows_by_size(SVETLICHNY_FORM) * np.array([[0.25], [0.25], [-0.25]]), _SVETLICHNY_CHECKS]))
 # the probability form: the triple sum T, then -Q (minus twice the pair
 # sum) under each of the 8 readings, then its pair marginals at settings
 # 11 read at both dummy settings, in one product
@@ -250,12 +249,12 @@ def svetlichny_coefficients(t: BehaviorTensor) -> SvetlichnyCoefficients:
     twice the sum of the six pair marginals of zeros whose signs do not
     cancel over the dummy setting (AB and BC at settings 00 and 11, AC at
     01 and 10), and gamma the sum of the six single marginals of zero.
-    Every one of those marginals must agree across its outside settings
-    within ``MARGINAL_TOL``.
+    One product reads the three and every such marginal's differences
+    across its outside settings, which must be within ``MARGINAL_TOL``.
     """
-    probs = t.probs
-    _require_agreement(_svetlichny_marginals(probs), _SVETLICHNY_LABELS)
-    alpha, beta, gamma = (float(v) for v in _cutoff_coefficients(probs))
+    values = _svetlichny(t.probs)
+    _require_agreement(values[3:], _SVETLICHNY_LABELS)
+    alpha, beta, gamma = values[:3].tolist()
     return SvetlichnyCoefficients(alpha=alpha, beta=max(beta, 0.0), gamma=max(gamma, 0.0))
 
 

@@ -235,8 +235,11 @@ def validated_probabilities(probs) -> np.ndarray:
 
 
 # Entry e of a flattened behavior has outcomes e // 8 and settings e % 8, as
-# bit masks: party a (setting x) is 4, b (y) is 2, c (z) is 1
+# bit masks: party a (setting x) is 4, b (y) is 2, c (z) is 1.  The one
+# statement of the Born order: _BORN_ENTRY[e] is the index of entry e among
+# the `born_amplitudes`, whose order is (x, a, y, b, z, c)
 _ENTRY = np.arange(64)
+_BORN_ENTRY = _ENTRY.reshape((2,) * 6).transpose(1, 3, 5, 0, 2, 4).reshape(64)
 
 
 def _marginal_checks(marginals):
@@ -284,7 +287,7 @@ def born_amplitudes(amplitudes, rows) -> np.ndarray:
     """Born amplitudes (..., 64), in (x, a, y, b, z, c) order, of states
     (..., 8) at the parties' conjugated `measurement_basis` rows (..., 3,
     2, 2, 2); leading axes broadcast, and the map is linear in each
-    party's rows."""
+    party's rows.  `_BORN_ENTRY` reads them in behavior order."""
     amp = np.asarray(amplitudes, dtype=complex)
     # party C, then B, then A contracts its component index with the last
     # qubit index left: [zc, ij], then [yb, zci], then [xa, ybzc]
@@ -301,27 +304,24 @@ def pure_behavior_probabilities(amplitudes: np.ndarray, bases) -> np.ndarray:
     ``amplitudes`` has shape (..., 8) and ``bases`` shape (..., 3, 2, 2, 2),
     the party stacks of :meth:`SettingsTriple.bases`: one state and its
     settings, giving one C-contiguous behavior array, or a stack of them
-    along matching leading axes, giving a C-contiguous stack.  A tensor
+    along matching leading axes, giving a C-contiguous stack.  Each entry is
+    the squared modulus of the amplitude `_BORN_ENTRY` names, so a tensor
     gives the same bits alone as in a stack.  It computes each MDE
     restart's certificate and, in one call, the sweep's ideal tensors;
     `behavior_from_settings` is the validated public route.
     """
-    amp = born_amplitudes(amplitudes, np.conj(bases))
-    # [x,a,y,b,z,c] -> [a,b,c,x,y,z]
-    amp = np.moveaxis(amp.reshape(amp.shape[:-1] + (2,) * 6), (-5, -3, -1), (-6, -5, -4))
-    probs = np.empty(amp.shape)
-    np.add(amp.real**2, amp.imag**2, out=probs)
-    return probs
+    amp = np.take(born_amplitudes(amplitudes, np.conj(bases)), _BORN_ENTRY, axis=-1)
+    return (amp.real**2 + amp.imag**2).reshape(amp.shape[:-1] + (2,) * 6)
 
 
 def behavior_from_settings(rho: DensityMatrix, settings: SettingsTriple) -> BehaviorTensor:
     """Born-rule behavior P(abc|xyz) = Tr[rho (Pi_a^x ⊗ Pi_b^y ⊗ Pi_c^z)],
-    the real diagonal of V rho V^H for V, the `born_amplitudes` of the 8
-    basis states; `pure_behavior_probabilities` squares V psi instead."""
+    the real diagonal of V rho V^H, read through `_BORN_ENTRY`, for V the
+    `born_amplitudes` of the 8 basis states; `pure_behavior_probabilities`
+    squares V psi instead."""
     v = born_amplitudes(np.eye(DIM), np.conj(settings.bases())).T
     diag = ((v @ rho.matrix) * v.conj()).sum(axis=1).real
-    # [x,a,y,b,z,c] -> [a,b,c,x,y,z]
-    return BehaviorTensor(diag.reshape((2,) * 6).transpose(1, 3, 5, 0, 2, 4))
+    return BehaviorTensor(diag[_BORN_ENTRY].reshape((2,) * 6))
 
 
 def uniform_behavior() -> BehaviorTensor:

@@ -26,8 +26,8 @@ from .families import ThetaSetting, mix_white_noise, theta_measurements, theta_s
 from .inequality import (
     SVETLICHNY_FORM,
     T2_FORMS,
-    _cutoff_coefficients,
     _rows_by_size,
+    _svetlichny,
     _t2_terms,
     cutoff_root,
     svetlichny_coefficients,
@@ -42,6 +42,7 @@ from .qcore import (
     VIOLATION_TOL,
     PureState,
     SettingsTriple,
+    _BORN_ENTRY,
     _frozen,
     behavior_from_settings,
     born_amplitudes,
@@ -170,7 +171,7 @@ def _fixed_cutoff(kind: str, pair, penalty_weight: float) -> float:
     amplitudes, angles = pair
     probs = pure_behavior_probabilities(amplitudes, SettingsTriple.from_angles(angles).bases())
     if kind == "svetlichny":
-        alpha, beta, gamma = _cutoff_coefficients(probs)
+        alpha, beta, gamma = _svetlichny(probs)[:3]
         coefficients = alpha, beta, -gamma
     else:
         triple, minus_q = _t2_terms(probs)
@@ -211,9 +212,9 @@ def _random_start(rng: random.Random) -> np.ndarray:
 # Each party's two measurements give a 4x2 matrix U: the conjugated rows of
 # its `measurement_basis`, indexed (setting, outcome) by component.  Then
 # V = U_A (x) U_B (x) U_C, the linear map `qcore.born_amplitudes`, takes a
-# state to its 64 Born amplitudes, and entry (x a, y b, z c) of V psi is the
-# amplitude whose square is P(abc|xyz).  The k-party rows of a
-# form, summed and put in that order as w_k, read <psi|A_k|psi> for the
+# state to its 64 Born amplitudes, and entry `_BORN_ENTRY[e]` of V psi is the
+# amplitude whose square is behavior entry e.  The k-party rows of a form,
+# summed and moved to Born order as w_k, read <psi|A_k|psi> for the
 # Hermitian 8x8 operator A_k = V^H diag(w_k) V.  At symmetric efficiency
 # eta the observed form violates iff eta^3 <A_3> + eta^2 <A_2> + eta <A_1>
 # > 0, so some state violates at eta iff
@@ -230,13 +231,15 @@ _NEWTON_STEPS = 60
 
 @cache
 def _operator_coefficients(kind: str) -> np.ndarray:
-    """w_3, w_2, w_1 of one inequality over the Born amplitudes in (x, a, y,
-    b, z, c) order, shape (3, 64): the sums of the 3-, 2- and 1-party rows
-    of `SVETLICHNY_FORM`, or of reading 0 of `T2_FORMS`, where A_3 = T,
-    A_2 = -Q and A_1 = 0."""
+    """w_3, w_2, w_1 of one inequality over the `born_amplitudes`, shape
+    (3, 64): the sums of the 3-, 2- and 1-party rows of `SVETLICHNY_FORM`,
+    or of reading 0 of `T2_FORMS`, where A_3 = T, A_2 = -Q and A_1 = 0,
+    each behavior entry e moved to amplitude `qcore._BORN_ENTRY[e]`."""
     rows = _rows_by_size(SVETLICHNY_FORM if kind == "svetlichny" else T2_FORMS[0])
-    # [a, b, c, x, y, z] -> [x, a, y, b, z, c]
-    return _frozen(rows.reshape((3,) + (2,) * 6).transpose(0, 4, 1, 5, 2, 6, 3).reshape(3, 64))
+    # a scatter, not np.argsort, whose first call maps about 0.3 MB of code
+    coefficients = np.empty_like(rows)
+    coefficients[:, _BORN_ENTRY] = rows
+    return _frozen(coefficients)
 
 
 # d/d polar of `measurement_basis` takes outcome 0 to -1/2 times outcome 1

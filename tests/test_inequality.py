@@ -182,6 +182,16 @@ class TestSvetlichnyCoefficients:
             margin = svetlichny_coefficients(t).violation_margin
             assert (margin > 2.5e-10) == svetlichny_corr_value(t).violated
 
+    def test_signaling_tensor_names_the_marginal(self):
+        # the tensor of `test_signaling_tensor_rejected`: B's marginal of 0
+        # at y = 0 is 1 at x = 0 and 0 at x = 1.  Its check row follows the
+        # three cutoff rows in one product, and the label is picked by row
+        probs = np.zeros((2,) * 6)
+        for x in range(2):
+            probs[0, x, 0, x, :, :] = 1.0
+        with pytest.raises(MarginalInconsistencyError, match=r"P\(0\|b at 0\)"):
+            svetlichny_coefficients(BehaviorTensor(probs))
+
     def test_validates_nonnegative(self):
         with pytest.raises(ValueError):
             SvetlichnyCoefficients(alpha=0.0, beta=-1.0, gamma=0.0)

@@ -356,6 +356,32 @@ class TestEigenReduction:
             np.testing.assert_allclose(gradient, differences, rtol=0, atol=1e-6)
             checked += 1
 
+    @pytest.mark.parametrize("kind, cutoff_tol", [("svetlichny", 1e-12), ("t2", 1e-10)])
+    def test_canonical_angles_keep_spectrum_and_cutoff(self, kind, cutoff_tol):
+        # A_k reads projectors only, so a local unitary that rotates a
+        # party's two Bloch vectors to polar 0 and polar omega (azimuth 0),
+        # omega their opening angle, conjugates every operator: the spectra
+        # and the cutoff stay.  The probability form's crossing is flat, so
+        # its cutoff moves by rounding up to about 1e-11
+        coefficients = search._operator_coefficients(kind)
+        for seed in range(5000, 5200):
+            angles = search._random_start(random.Random(seed)).reshape(3, 2, 2)
+            polar, azimuth = angles[..., 0], angles[..., 1]
+            cos_omega = (np.sin(polar[:, 0]) * np.sin(polar[:, 1])
+                         * np.cos(azimuth[:, 0] - azimuth[:, 1])
+                         + np.cos(polar[:, 0]) * np.cos(polar[:, 1]))
+            canonical = np.zeros((3, 2, 2))
+            canonical[:, 1, 0] = np.arccos(np.clip(cos_omega, -1.0, 1.0))
+            spectra = []
+            for point in (angles, canonical):
+                a3, a2, a1 = search._row_operators(coefficients, search._local_paulis(point)[0])
+                spectra.append([np.linalg.eigvalsh(eta * a3 + a2 + a1 / eta)
+                                for eta in (0.7, 0.85, 1.0)])
+            np.testing.assert_allclose(spectra[0], spectra[1], rtol=0, atol=1e-12)
+            cutoffs = [search._eigen_cutoff(coefficients, point.reshape(-1), 1.0)[0]
+                       for point in (angles, canonical)]
+            assert abs(cutoffs[0] - cutoffs[1]) <= cutoff_tol, seed
+
     def test_basis_derivatives_match_central_differences(self, rng):
         # `_local_paulis` reads the derivatives off the bases; central
         # differences of `measurement_basis` pin them to its one definition,
